@@ -205,7 +205,7 @@ def cmd_posterior(args) -> int:
     _quad_config(args)  # validate the override; grids are closed form
     obs = sample(model, args.xi_true, args.n, args.seed)
     xi_ml = ml_estimate(model, obs)
-    post = posterior_from_observations(model, obs, args.grid_size)
+    post = posterior_from_observations(model, obs, args.grid_size, xi_ml=xi_ml)
     ref = gaussian_reference(xi_ml, model.analytic_fisher, obs.n, grid=post.xi_values)
     report = compare_to_gaussian(post, ref)
     companion = criterion_report(model, obs.n)

@@ -87,8 +87,8 @@ def detect_remainder_order(model: ModelSpec) -> int:
     return _detect_cached(model)
 
 
-def remainder_ratio(model: ModelSpec, n: int) -> float:
-    """Raw remainder-to-quadratic ratio at sample size ``n``."""
+def _remainder_terms(model: ModelSpec, n: int) -> tuple[float, float, float, int, float, float]:
+    """(fisher, sigma, halfwidth, order, h_max, raw ratio) at sample size ``n``."""
     if n < 1:
         raise InputError("sample size must be at least 1")
     f = _fisher(model)
@@ -97,8 +97,15 @@ def remainder_ratio(model: ModelSpec, n: int) -> float:
     order = detect_remainder_order(model)
     h_max = max_abs_derivative(model, order, halfwidth)
     if order == 3:
-        return h_max / (math.sqrt(n) * f**1.5)
-    return 3.0 * h_max / (4.0 * n * f**2)
+        raw = h_max / (math.sqrt(n) * f**1.5)
+    else:
+        raw = 3.0 * h_max / (4.0 * n * f**2)
+    return f, sigma, halfwidth, order, h_max, raw
+
+
+def remainder_ratio(model: ModelSpec, n: int) -> float:
+    """Raw remainder-to-quadratic ratio at sample size ``n``."""
+    return _remainder_terms(model, n)[-1]
 
 
 def _effective(raw: float, mode: str) -> float:
@@ -117,12 +124,7 @@ def criterion_report(
 ) -> CriterionReport:
     if not 0.0 < threshold < 1.0:
         raise InputError("threshold must lie in (0, 1)")
-    f = _fisher(model)
-    sigma = f**-0.5
-    halfwidth = 3.0 * sigma / math.sqrt(n)
-    order = detect_remainder_order(model)
-    h_max = max_abs_derivative(model, order, halfwidth)
-    raw = remainder_ratio(model, n)
+    f, sigma, halfwidth, order, h_max, raw = _remainder_terms(model, n)
     eff = _effective(raw, mode)
     return CriterionReport(
         model=model.id,

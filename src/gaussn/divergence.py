@@ -223,16 +223,14 @@ def h_derivative_numeric(
     return float((4.0 * fine - coarse) / 3.0)
 
 
-def max_abs_derivative(
-    model: ModelSpec, order: int, interval_halfwidth: float, cfg: QuadratureConfig | None = None
-) -> float:
+def max_abs_derivative(model: ModelSpec, order: int, interval_halfwidth: float) -> float:
     """Largest |H^(order)| over |delta| <= interval_halfwidth.
 
-    The two cases the acceptance criterion needs have closed maxima:
-    e^w for the chi2log third derivative (monotone), 16 for the
-    trigonometric fourth derivative (cosine peak at zero).  Everything else
-    falls back to a dense scan of the analytic derivative, or of the
-    numeric one for models without analytic derivatives.
+    The cases the acceptance criterion needs have closed maxima: e^w for
+    the chi2log third derivative (monotone), 16 for the trigonometric
+    fourth derivative (cosine peak at zero), and 0 for every derivative of
+    the Gaussian H beyond the second (H is exactly quadratic).  Other
+    orders take a dense scan of the analytic derivative.
     """
     if not interval_halfwidth > 0:
         raise InputError("interval halfwidth must be positive")
@@ -241,12 +239,10 @@ def max_abs_derivative(
         return float(math.exp(interval_halfwidth))
     if model.id is ModelId.TRIG_TRANSLATIONAL and order == 4:
         return 16.0
+    if model.id is ModelId.GAUSSIAN_SHIFT and order >= 3:
+        return 0.0
     w = interval_halfwidth
     if model.id is ModelId.TRIG_TRANSLATIONAL:
         w = min(w, math.pi)  # one period
-    try:
-        grid = np.linspace(-w, w, 10001)
-        return float(max(abs(h_derivative_analytic(model, order, d)) for d in grid))
-    except UnsupportedModelError:
-        grid = np.linspace(-w, w, 101)
-        return float(max(abs(h_derivative_numeric(model, order, d, cfg)) for d in grid))
+    grid = np.linspace(-w, w, 10001)
+    return float(max(abs(h_derivative_analytic(model, order, d)) for d in grid))

@@ -19,14 +19,13 @@ All operations are pure; sampling is deterministic given the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import logsumexp
 
 from .errors import InputError
 from .quadrature import QuadratureConfig, integrate
@@ -45,6 +44,12 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
+# Observations x grid points evaluated at once when a log likelihood is
+# summed over a grid (2**21 doubles, 16 MB per temporary): memory stays
+# bounded in N, and N up to one block sums in a single np.sum.
+_BLOCK_ELEMENTS = 1 << 21
+# Log-likelihood gap, and distance, below which two trig maxima are one.
+_TRIG_TIE_TOL = 1e-9
 
 
 class ModelId(Enum):
@@ -140,9 +145,8 @@ def _log_density_unchecked(model: ModelSpec, x, xi):
         s2 = model.sigma_param**2
         return -0.5 * math.log(2.0 * math.pi * s2) - (x - xi) ** 2 / (2.0 * s2)
     if mid is ModelId.TRIG_TRANSLATIONAL:
-        c = np.cos(x - xi)
         with np.errstate(divide="ignore"):
-            return math.log(2.0 / math.pi) + 2.0 * np.log(np.abs(c))
+            return math.log(2.0 / math.pi) + 2.0 * np.log(np.abs(np.cos(x - xi)))
     # binomial: log cos^2(xi) for x = 1, log sin^2(xi) for x = 0
     with np.errstate(divide="ignore"):
         lc = 2.0 * np.log(np.abs(np.cos(xi)))
@@ -205,20 +209,27 @@ def normalization_check(model: ModelSpec, xi: float, cfg: QuadratureConfig | Non
 def ml_estimate(model: ModelSpec, obs: Observations) -> float:
     """Parameter value maximizing the likelihood of ``obs``.
 
-    Closed forms exist for three variants; the trigonometric model is
-    maximized by a grid scan with local refinement.  When several global
-    maxima tie (possible for the trigonometric model, whose density is
-    pi-periodic in the difference), the smallest maximizer is returned and
-    an :class:`AmbiguousMaximumWarning` is emitted.  The binomial model
+    Closed forms exist for three variants: the log-mean-exp for chi2log, the
+    mean for gauss, and the share of ones for binom.  The binomial model
     returns the nonnegative root; cos^2 is even, so its mirror image is an
     equally good estimate.
+
+    The trigonometric model scans the log-likelihood on a 4001-point grid
+    over one period, then refines every grid point within 1e-6 of the best
+    by safeguarded Newton on the analytic score 2 sum tan(x_k - xi): the
+    log-likelihood is concave between its poles xi = x_k +- pi/2, so each
+    refinement has one maximum to find.  Refined maxima closer than 1e-9
+    to each other are one maximum.  When several distinct global maxima
+    tie (possible because the density is pi-periodic in the difference),
+    the smallest maximizer is returned and an
+    :class:`AmbiguousMaximumWarning` is emitted.
     """
     xs = obs.as_array()
     _check_x(model, xs)
     mid = model.id
     if mid is ModelId.CHI_SQUARED_LOG:
         # argmax of sum(x_k - xi - e^(x_k - xi)) is ln(mean(e^(x_k)))
-        return float(logsumexp(xs) - math.log(obs.n))
+        return float(_logsumexp(xs) - math.log(obs.n))
     if mid is ModelId.GAUSSIAN_SHIFT:
         return float(np.mean(xs))
     if mid is ModelId.BINOMIAL_TRIG_IRF:
@@ -227,53 +238,122 @@ def ml_estimate(model: ModelSpec, obs: Observations) -> float:
     return _ml_trig(model, xs)
 
 
-def _trig_loglik(xs, grid):
-    with np.errstate(divide="ignore"):
-        return np.sum(2.0 * np.log(np.abs(np.cos(xs[:, None] - grid[None, :]))), axis=0)
+def _logsumexp(xs: np.ndarray) -> float:
+    """ln(sum(e^x)) of a 1-d array, shifted by its maximum so nothing overflows.
+
+    The terms at the maximum leave the sum and enter through the log of
+    their count; the rest enter through log1p, which keeps full precision
+    when the largest term dominates.
+    """
+    top = np.max(xs)
+    at_top = xs == top
+    count = np.count_nonzero(at_top)
+    rest = np.sum(np.where(at_top, 0.0, np.exp(xs - top))) / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
+def _sum_over_observations(term, xs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """sum_k term(x_k, grid) at every grid point, in row blocks of bounded size."""
+    rows = max(1, _BLOCK_ELEMENTS // grid.size)
+    total = np.sum(term(xs[:rows, None], grid[None, :]), axis=0)
+    for start in range(rows, xs.size, rows):
+        total += np.sum(term(xs[start : start + rows, None], grid[None, :]), axis=0)
+    return total
+
+
+def _trig_refine(xs: np.ndarray, t0: float, a: float, b: float) -> float:
+    """Maximizer of sum_k ln cos^2(x_k - xi) on [a, b] in the cell holding t0.
+
+    The poles xi = x_k - pi/2 + j pi split [a, b] into cells (the bracket
+    is shorter than one period, so each observation adds at most one pole).
+    On the cell holding the grid point t0 the log-likelihood is strictly
+    concave, so its maximum is the zero of the decreasing score, or an end
+    of the cell that is not a pole.  Newton steps that leave the bracket
+    are replaced by bisection.
+    """
+    base = xs - _HALF_PI
+    poles = base + math.pi * np.ceil((a - base) / math.pi)
+    left, right = poles[poles < t0], poles[(poles > t0) & (poles <= b)]
+    lo = float(np.max(left)) if left.size else a
+    hi = float(np.min(right)) if right.size else b
+    if not left.size and 2.0 * np.sum(np.tan(xs - lo)) <= 0.0:
+        return lo
+    if not right.size and 2.0 * np.sum(np.tan(xs - hi)) >= 0.0:
+        return hi
+    t = t0
+    for _ in range(200):
+        tan = np.tan(xs - t)
+        score = 2.0 * np.sum(tan)
+        if score == 0.0:
+            return t
+        if score > 0.0:
+            lo = t
+        else:
+            hi = t
+        nxt = t + score / (2.0 * np.sum(1.0 + tan * tan))  # curvature -2 sum sec^2
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 4.0 * np.finfo(float).eps:
+            return float(nxt)
+        t = float(nxt)
+    return t
 
 
 def _ml_trig(model: ModelSpec, xs) -> float:
     lo, hi = model.xi_domain
     grid = np.linspace(lo, hi, 4001)
-    ll = _trig_loglik(xs, grid)
+    log_density = functools.partial(_log_density_unchecked, model)
+    ll = _sum_over_observations(log_density, xs, grid)
     best = np.max(ll)
     step = grid[1] - grid[0]
     # Local maxima whose grid value is within resolution of the global one.
-    candidates = []
+    refined = []
     for i in np.flatnonzero(ll >= best - 1e-6):
-        a = grid[max(i - 1, 0)] - step
-        b = grid[min(i + 1, grid.size - 1)] + step
-        r = minimize_scalar(
-            lambda t: -_trig_loglik(xs, np.array([t]))[0],
-            bounds=(max(a, lo), min(b, hi)),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        candidates.append((float(np.clip(r.x, lo, hi)), -float(r.fun)))
-    top = max(v for _, v in candidates)
-    winners = sorted({round(t, 9) for t, v in candidates if v >= top - 1e-9})
+        a = max(grid[max(i - 1, 0)] - step, lo)
+        b = min(grid[min(i + 1, grid.size - 1)] + step, hi)
+        t = _trig_refine(xs, float(grid[i]), float(a), float(b))
+        refined.append((t, float(np.sum(log_density(xs, t)))))
+    top = max(v for _, v in refined)
+    ties = sorted(t for t, v in refined if v >= top - _TRIG_TIE_TOL)
+    winners = ties[:1] + [t for prev, t in zip(ties, ties[1:]) if t - prev > _TRIG_TIE_TOL]
     if len(winners) > 1:
         warnings.warn(
             f"likelihood has {len(winners)} global maxima {winners}; returning the smallest",
             AmbiguousMaximumWarning,
         )
-    return float(winners[0])
+    return winners[0]
 
 
-def _trig_cdf(x, xi):
-    # antiderivative of (2/pi) cos^2(s - xi) from -pi/2
-    def prim(v):
-        return (v + 0.5 * math.sin(2.0 * v)) / math.pi
+def _trig_inverse_cdf(us: np.ndarray, xi: float) -> np.ndarray:
+    """x with CDF(x) = u for each u, by bisection on the whole array at once.
 
-    return prim(x - xi) - prim(-_HALF_PI - xi)
+    CDF(x) = prim(x - xi) - prim(-pi/2 - xi), prim(v) = (v + sin(2v)/2) / pi,
+    the antiderivative of (2/pi) cos^2(v).  Where the density is small the
+    computed CDF equals u over a band of x wider than the tolerance, so two
+    brackets are halved side by side, one closing on each end of that band,
+    until both are narrower than 1e-14; the middle of the band is returned.
+    """
+    offset = -_HALF_PI - xi
+    floor = (offset + 0.5 * math.sin(2.0 * offset)) / math.pi
+    lo = np.full((2, us.size), -_HALF_PI)
+    hi = np.full((2, us.size), _HALF_PI)
+    while np.max(hi - lo) > 1e-14:
+        mid = 0.5 * (lo + hi)
+        v = mid - xi
+        cdf = (v + 0.5 * np.sin(2.0 * v)) / math.pi - floor
+        below = np.stack([cdf[0] < us, cdf[1] <= us])
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.25 * np.sum(lo + hi, axis=0)
 
 
 def sample(model: ModelSpec, xi_true: float, n: int, seed: int) -> Observations:
     """Draw ``n`` observations at ``xi_true``, reproducibly for a given seed.
 
     The line models use exact transforms of standard generator output; the
-    trigonometric model inverts its closed-form CDF by bracketed
-    root-finding, so no rejection loop perturbs the stream.
+    trigonometric model inverts its closed-form CDF at n uniform draws by
+    one vectorised bisection to 1e-14, so no rejection loop perturbs the
+    stream.
     """
     _check_xi(model, xi_true)
     if n < 1:
@@ -288,15 +368,5 @@ def sample(model: ModelSpec, xi_true: float, n: int, seed: int) -> Observations:
     elif mid is ModelId.BINOMIAL_TRIG_IRF:
         values = (rng.random(n) < math.cos(xi_true) ** 2).astype(float)
     else:
-        us = rng.random(n)
-        values = np.empty(n)
-        for i, u in enumerate(us):
-            if u <= 0.0:
-                values[i] = -_HALF_PI
-            elif u >= 1.0:
-                values[i] = _HALF_PI
-            else:
-                values[i] = brentq(
-                    lambda x: _trig_cdf(x, xi_true) - u, -_HALF_PI, _HALF_PI, xtol=1e-14
-                )
-    return Observations(tuple(float(v) for v in values))
+        values = _trig_inverse_cdf(rng.random(n), xi_true)
+    return Observations(tuple(values.tolist()))

@@ -3,7 +3,21 @@
 All densities are tabulated over a grid spanning eight reference standard
 deviations around the center (clipped to the parameter domain) and
 normalized by the trapezoid rule, with likelihood products accumulated in
-log space so that large N cannot underflow.  Comparisons report
+log space so that large N cannot underflow.
+
+The sampled posterior costs O(N + G) time and O(G) memory beyond the
+observations (N observations, G grid points) for three models, whose
+likelihoods reduce to sufficient statistics:
+
+* chi2log: sum_k (x_k - xi - e^(x_k - xi)) is, up to a constant,
+  -N (d + e^(-d) - 1) with d = xi - (L - ln N) and L = ln sum_k e^(x_k);
+* gauss:   -N (xi - mean)^2 / (2 sigma^2), up to a constant;
+* binom:   the score form in the number of ones.
+
+The trigonometric likelihood has no such reduction; its product over the
+observations is accumulated in row blocks of bounded size.
+
+Comparisons report
 
 * the sup over the 3-sigma window of |log density difference| after
   matching the two peaks (shape deviation, insensitive to normalizers),
@@ -17,6 +31,7 @@ Comparisons for that model are restricted to |delta| <= pi/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +44,8 @@ from .models import (
     ModelSpec,
     Observations,
     _log_density_unchecked,
+    _logsumexp,
+    _sum_over_observations,
     ml_estimate,
 )
 
@@ -86,22 +103,16 @@ def _reference_sigma(model: ModelSpec, n: int) -> float:
     return 1.0 / math.sqrt(n * model.analytic_fisher)
 
 
-def posterior_from_observations(
-    model: ModelSpec, obs: Observations, grid_size: int = DEFAULT_GRID_SIZE
-) -> PosteriorGrid:
-    """Normalized posterior of xi given the observations, constant prior.
-
-    The grid spans xi_ml +- 8 sigma/sqrt(N) intersected with the parameter
-    domain.  For the binomial model the likelihood is the score form and
-    the grid is centered on the nonnegative maximum-likelihood root (cos^2
-    is even, so the mirrored mode at -xi_ml is deliberately out of frame).
-    """
-    _check_grid_size(grid_size)
-    xs = obs.as_array()
-    n = obs.n
-    center = ml_estimate(model, obs)
-    grid = _make_grid(center, 8.0 * _reference_sigma(model, n), model.xi_domain, grid_size)
-    if model.id is ModelId.BINOMIAL_TRIG_IRF:
+def _log_likelihood(model: ModelSpec, xs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """ln p(x_1..x_N | xi) at every grid point, up to a constant in xi."""
+    n = xs.size
+    mid = model.id
+    if mid is ModelId.CHI_SQUARED_LOG:
+        d = grid - (_logsumexp(xs) - math.log(n))
+        return -n * (d + np.expm1(-d))
+    if mid is ModelId.GAUSSIAN_SHIFT:
+        return -n * (grid - np.mean(xs)) ** 2 / (2.0 * model.sigma_param**2)
+    if mid is ModelId.BINOMIAL_TRIG_IRF:
         score = float(np.sum(xs))
         with np.errstate(divide="ignore"):
             log_lik = np.zeros_like(grid)
@@ -110,12 +121,30 @@ def posterior_from_observations(
                 log_lik = log_lik + 2.0 * score * np.log(np.abs(np.cos(grid)))
             if n - score > 0:
                 log_lik = log_lik + 2.0 * (n - score) * np.log(np.abs(np.sin(grid)))
-    else:
-        with np.errstate(divide="ignore"):
-            log_lik = np.sum(
-                _log_density_unchecked(model, xs[:, None], grid[None, :]), axis=0
-            )
-    return PosteriorGrid(grid, _normalize(grid, log_lik), True)
+        return log_lik
+    return _sum_over_observations(functools.partial(_log_density_unchecked, model), xs, grid)
+
+
+def posterior_from_observations(
+    model: ModelSpec,
+    obs: Observations,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    *,
+    xi_ml: float | None = None,
+) -> PosteriorGrid:
+    """Normalized posterior of xi given the observations, constant prior.
+
+    The grid spans xi_ml +- 8 sigma/sqrt(N) intersected with the parameter
+    domain; pass ``xi_ml`` when the caller already holds the estimate, so
+    it is not computed twice.  For the binomial model the likelihood is the
+    score form and the grid is centered on the nonnegative
+    maximum-likelihood root (cos^2 is even, so the mirrored mode at -xi_ml
+    is deliberately out of frame).
+    """
+    _check_grid_size(grid_size)
+    center = ml_estimate(model, obs) if xi_ml is None else float(xi_ml)
+    grid = _make_grid(center, 8.0 * _reference_sigma(model, obs.n), model.xi_domain, grid_size)
+    return PosteriorGrid(grid, _normalize(grid, _log_likelihood(model, obs.as_array(), grid)), True)
 
 
 def posterior_asymptotic(

@@ -171,6 +171,33 @@ def test_module_entrypoint_runs():
     assert proc.stdout.splitlines()[0] == "N,ratio_raw,ratio_3dp"
 
 
+def test_imports_without_scipy():
+    # numpy is the only runtime dependency: a blocked scipy import must not matter.
+    code = "import sys; sys.modules['scipy'] = None; import gaussn, gaussn.cli"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_posterior_command_estimates_once(capsys, monkeypatch):
+    import gaussn.cli as cli
+    import gaussn.posterior as posterior
+
+    calls = []
+    real = cli.ml_estimate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].id.value)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ml_estimate", counting)
+    monkeypatch.setattr(posterior, "ml_estimate", counting)
+    code, _, _ = run_cli(
+        capsys, "posterior", "--model", "trig", "--xi-true", "0.2", "--n", "40", "--seed", "7"
+    )
+    assert code == 0
+    assert calls == ["trig"]
+
+
 def test_xi_outside_domain(capsys):
     code, _, err = run_cli(capsys, "fisher", "--model", "trig", "--xi", "3.0")
     assert code == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ def test_trig_ambiguous_maximum_returns_smallest(trig):
     assert got == pytest.approx(-HALF_PI, abs=1e-6)
 
 
+def test_trig_single_maximum_is_not_split(trig):
+    # Neighbouring grid points refine to one maximum, which must count once
+    # even when the two refinements differ in the ninth decimal.
+    obs = sample(trig, 0.3, 500, 300038)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AmbiguousMaximumWarning)
+        got = ml_estimate(trig, obs)
+    assert got == pytest.approx(0.3043418478, abs=1e-9)
+
+
+def test_trig_estimate_zeroes_the_score(trig):
+    # d/dxi sum ln cos^2(x_k - xi) = 2 sum tan(x_k - xi)
+    for xi, n, seed in ((0.3, 8, 1), (-1.2, 50, 2), (0.3, 500, 300038), (1.4, 2000, 4)):
+        obs = sample(trig, xi, n, seed)
+        score = 2.0 * np.sum(np.tan(obs.as_array() - ml_estimate(trig, obs)))
+        assert abs(score) <= 1e-8 * n
+
+
 def test_observations_validation(chi2, binom):
     with pytest.raises(InputError):
         Observations(())
@@ -240,6 +259,20 @@ def test_trig_sampler_matches_cdf(trig):
     emp = np.arange(1, xs.size + 1) / xs.size
     ks = np.max(np.abs(cdf(xs) - emp))
     assert ks < 0.05
+
+
+def test_trig_sampler_inverts_cdf_at_each_draw(trig):
+    # The sampler maps the generator's n uniform draws through the inverse CDF.
+    def cdf(x, xi):
+        def prim(v):
+            return (v + 0.5 * np.sin(2.0 * v)) / math.pi
+
+        return prim(x - xi) - prim(-HALF_PI - xi)
+
+    for xi, n, seed in ((0.3, 500, 1), (-1.2, 2000, 2), (HALF_PI, 300, 3)):
+        xs = sample(trig, xi, n, seed).as_array()
+        us = np.random.default_rng(seed).random(n)
+        assert np.max(np.abs(cdf(xs, xi) - us)) <= 1e-13
 
 
 def test_chi2log_sampler_matches_cdf(chi2):

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gaussn.models
 from gaussn import (
     InputError,
     Observations,
     compare_to_gaussian,
     gaussian_reference,
     h_closed_form,
+    make_model,
     ml_estimate,
     posterior_asymptotic,
     posterior_from_observations,
@@ -184,3 +187,78 @@ def test_grid_size_validation(chi2):
         posterior_from_observations(chi2, Observations((0.0,)), grid_size=100)
     with pytest.raises(InputError):
         posterior_asymptotic(chi2, 0.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# sufficient statistics against the N x G product
+# ---------------------------------------------------------------------------
+
+
+def _product_oracle(name, sigma, xs, grid):
+    """Normalized likelihood from the N x G sum of log densities, in row chunks."""
+    log_lik = np.zeros_like(grid)
+    for start in range(0, xs.size, 2000):
+        u = xs[start : start + 2000, None] - grid[None, :]
+        if name == "chi2log":
+            log_lik += np.sum(u - np.exp(u), axis=0)
+        else:
+            log_lik += np.sum(-(u**2) / (2.0 * sigma**2), axis=0)
+    dens = np.exp(log_lik - np.max(log_lik))
+    return dens / np.trapezoid(dens, grid)
+
+
+@pytest.mark.parametrize("n", (1, 160, 5000, 20000))
+@pytest.mark.parametrize(
+    "name,sigma", (("chi2log", 1.0), ("gauss", 0.01), ("gauss", 1.0), ("gauss", 100.0))
+)
+def test_sufficient_statistics_match_product_oracle(name, sigma, n):
+    model = make_model(name, sigma=sigma)
+    obs = sample(model, 0.3, n, 1000 + n)
+    post = posterior_from_observations(model, obs)
+    want = _product_oracle(name, sigma, obs.as_array(), post.xi_values)
+    assert np.max(np.abs(post.densities - want)) <= 1e-8 * np.max(want)
+
+
+def test_gauss_posterior_equals_reference_to_rounding():
+    for sigma in (0.01, 1.0, 100.0):
+        model = make_model("gauss", sigma=sigma)
+        for n, seed in ((1, 3), (25, 4), (5000, 5)):
+            obs = sample(model, 0.3, n, seed)
+            xi_ml = ml_estimate(model, obs)
+            post = posterior_from_observations(model, obs, xi_ml=xi_ml)
+            ref = gaussian_reference(xi_ml, model.analytic_fisher, n, grid=post.xi_values)
+            assert compare_to_gaussian(post, ref).sup_log_deviation <= 1e-12
+
+
+def test_given_estimate_is_the_computed_one(chi2, trig, binom):
+    for model, n in ((chi2, 40), (trig, 30), (binom, 40)):
+        obs = sample(model, 0.3, n, 8)
+        a = posterior_from_observations(model, obs)
+        b = posterior_from_observations(model, obs, xi_ml=ml_estimate(model, obs))
+        np.testing.assert_array_equal(a.xi_values, b.xi_values)
+        np.testing.assert_array_equal(a.densities, b.densities)
+
+
+def test_blocked_trig_likelihood_matches_one_block(trig, monkeypatch):
+    obs = sample(trig, 0.3, 300, 5)
+    whole = posterior_from_observations(trig, obs)
+    monkeypatch.setattr(gaussn.models, "_BLOCK_ELEMENTS", 7 * 4001)  # 3 to 7 rows a block
+    blocked = posterior_from_observations(trig, obs)
+    np.testing.assert_allclose(blocked.xi_values, whole.xi_values, rtol=0, atol=1e-13)
+    assert np.max(np.abs(blocked.densities - whole.densities)) <= 1e-9 * np.max(whole.densities)
+
+
+@pytest.mark.parametrize("name", ("chi2log", "gauss"))
+def test_posterior_memory_does_not_scale_with_n_times_grid(name):
+    # At N = 10^6 an N x G matrix would take 16 GB; the sufficient
+    # statistics need a few arrays of N doubles (8 MB each) plus O(G).
+    model = make_model(name)
+    obs = sample(model, 0.3, 10**6, 17)
+    tracemalloc.start()
+    try:
+        post = posterior_from_observations(model, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    assert _grid_mass(post) == pytest.approx(1.0, abs=1e-6)
