@@ -6,8 +6,11 @@ rendered with 17 significant digits, JSON keys are sorted, CSV uses LF
 line endings and a dot decimal separator.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  The environment variable GAUSSN_QUAD_TOL overrides the default
-quadrature tolerances; the --quad-tol flag overrides both.
+failure.  For fisher and verify, the environment variable GAUSSN_QUAD_TOL
+overrides the default quadrature tolerances, and their --quad-tol flag
+overrides both.  criterion, table and posterior evaluate closed forms (their
+one quadrature step, the remainder-order detection, always runs at the
+default tolerances) and accept neither.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _quad_config(args) -> QuadratureConfig | None:
-    tol = getattr(args, "quad_tol", None)
+    tol = args.quad_tol
     if tol is None:
         env = os.environ.get("GAUSSN_QUAD_TOL")
         if env is not None:
@@ -139,7 +142,6 @@ def cmd_fisher(args) -> int:
 
 def cmd_criterion(args) -> int:
     model = _model_from_args(args)
-    _quad_config(args)  # validate the override; the scan itself is closed form
     n_min = minimal_n(model, args.threshold, args.mode)
     report = criterion_report(model, n_min, args.threshold, args.mode)
     env = OutputEnvelope(
@@ -178,7 +180,6 @@ def _parse_n_list(text: str) -> list[int]:
 
 def cmd_table(args) -> int:
     model = _model_from_args(args)
-    _quad_config(args)  # validate the override; ratios are closed form
     rows = table_rows(model, _parse_n_list(args.n))
     if args.format == "csv":
         lines = ["N,ratio_raw,ratio_3dp"]
@@ -202,7 +203,6 @@ def cmd_table(args) -> int:
 
 def cmd_posterior(args) -> int:
     model = _model_from_args(args)
-    _quad_config(args)  # validate the override; grids are closed form
     obs = sample(model, args.xi_true, args.n, args.seed)
     xi_ml = ml_estimate(model, obs)
     post = posterior_from_observations(model, obs, args.grid_size, xi_ml=xi_ml)
@@ -339,11 +339,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, model=True):
+def _add_common(p, model=True, quadrature=False):
     if model:
         p.add_argument("--model", required=True, choices=MODEL_NAMES)
         p.add_argument("--sigma", type=float, default=1.0, help="sigma of the gauss model")
-    p.add_argument("--quad-tol", type=float, default=None, help="override quadrature tolerances")
+    if quadrature:
+        p.add_argument("--quad-tol", type=float, default=None, help="override quadrature tolerances")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("fisher", help="Fisher information by both definitions")
-    _add_common(p)
+    _add_common(p, quadrature=True)
     p.add_argument("--xi", type=float, default=None)
     p.set_defaults(fn=cmd_fisher)
 
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_posterior)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    _add_common(p, model=False)
+    _add_common(p, model=False, quadrature=True)
     p.add_argument("--suite", choices=("all",) + tuple(VERIFY_SUITES), default="all")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)

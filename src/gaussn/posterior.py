@@ -1,9 +1,11 @@
 """Exact, asymptotic and Gaussian-reference posteriors on a common grid.
 
 All densities are tabulated over a grid spanning eight reference standard
-deviations around the center (clipped to the parameter domain) and
-normalized by the trapezoid rule, with likelihood products accumulated in
-log space so that large N cannot underflow.
+deviations around the center and normalized by the trapezoid rule, with
+likelihood products accumulated in log space so that large N cannot
+underflow.  Asymptotic grids are clipped to the parameter domain.  Sampled
+trig and binomial grids are not: their likelihood is pi-periodic in xi, so
+the grid runs on into the next period, with a halfwidth of at most pi/2.
 
 The sampled posterior costs O(N + G) time and O(G) memory beyond the
 observations (N observations, G grid points) for three models, whose
@@ -14,13 +16,18 @@ likelihoods reduce to sufficient statistics:
 * gauss:   -N (xi - mean)^2 / (2 sigma^2), up to a constant;
 * binom:   the score form in the number of ones.
 
-The trigonometric likelihood has no such reduction; its product over the
-observations is accumulated in row blocks of bounded size.
+The trigonometric likelihood has no such reduction and costs O(N G) time
+in the kernel ``models._trig_log_lik``: cos(x_k - xi) comes from angle
+addition over N + G sines and cosines (entries within 2^-20 of a zero are
+recomputed directly), and one log is taken per product of 16 rows of
+|cos|, in cache-sized row blocks, so memory stays O(G) beyond the
+observations.
 
 Comparisons report
 
-* the sup over the 3-sigma window of |log density difference| after
-  matching the two peaks (shape deviation, insensitive to normalizers),
+* the sup over the 3-sigma window (grid points on its edges included) of
+  |log density difference| after matching the two peaks (shape
+  deviation, insensitive to normalizers),
 * the Kullback-Leibler divergence to the Gaussian over the whole grid.
 
 The trigonometric asymptotic posterior is built with its center shifted to
@@ -31,7 +38,6 @@ Comparisons for that model are restricted to |delta| <= pi/2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -39,15 +45,7 @@ import numpy as np
 
 from .divergence import _carrier, h_closed_form, h_functional
 from .errors import InputError, UnsupportedModelError
-from .models import (
-    ModelId,
-    ModelSpec,
-    Observations,
-    _log_density_unchecked,
-    _logsumexp,
-    _sum_over_observations,
-    ml_estimate,
-)
+from .models import ModelId, ModelSpec, Observations, _logsumexp, _trig_log_lik, ml_estimate
 
 __all__ = [
     "PosteriorGrid",
@@ -60,6 +58,8 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 2001
 _MIN_GRID_SIZE = 201
+# Models whose likelihood is pi-periodic in xi.
+_PERIODIC = (ModelId.TRIG_TRANSLATIONAL, ModelId.BINOMIAL_TRIG_IRF)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _log_likelihood(model: ModelSpec, xs: np.ndarray, grid: np.ndarray) -> np.nd
             if n - score > 0:
                 log_lik = log_lik + 2.0 * (n - score) * np.log(np.abs(np.sin(grid)))
         return log_lik
-    return _sum_over_observations(functools.partial(_log_density_unchecked, model), xs, grid)
+    return _trig_log_lik(xs, grid)
 
 
 def posterior_from_observations(
@@ -134,16 +134,23 @@ def posterior_from_observations(
 ) -> PosteriorGrid:
     """Normalized posterior of xi given the observations, constant prior.
 
-    The grid spans xi_ml +- 8 sigma/sqrt(N) intersected with the parameter
-    domain; pass ``xi_ml`` when the caller already holds the estimate, so
-    it is not computed twice.  For the binomial model the likelihood is the
-    score form and the grid is centered on the nonnegative
-    maximum-likelihood root (cos^2 is even, so the mirrored mode at -xi_ml
-    is deliberately out of frame).
+    The grid spans xi_ml +- 8 sigma/sqrt(N); pass ``xi_ml`` when the caller
+    already holds the estimate, so it is not computed twice.  The trig and
+    binomial likelihoods are pi-periodic in xi, so their grid is never
+    clipped to the parameter domain: it runs past +-pi/2 into the next
+    period, and its halfwidth stops at pi/2, one period in all.  For the
+    binomial model the likelihood is the score form and the grid is
+    centered on the nonnegative maximum-likelihood root; cos^2 is even and
+    pi-periodic, so the mirrored mode at -xi_ml (or pi - xi_ml, next to
+    pi/2) is in frame whenever it lies within the halfwidth.
     """
     _check_grid_size(grid_size)
     center = ml_estimate(model, obs) if xi_ml is None else float(xi_ml)
-    grid = _make_grid(center, 8.0 * _reference_sigma(model, obs.n), model.xi_domain, grid_size)
+    halfwidth = 8.0 * _reference_sigma(model, obs.n)
+    domain = model.xi_domain
+    if model.id in _PERIODIC:
+        halfwidth, domain = min(halfwidth, math.pi / 2.0), (-math.inf, math.inf)
+    grid = _make_grid(center, halfwidth, domain, grid_size)
     return PosteriorGrid(grid, _normalize(grid, _log_likelihood(model, obs.as_array(), grid)), True)
 
 
@@ -160,8 +167,7 @@ def posterior_asymptotic(
     _check_grid_size(grid_size)
     if n < 1:
         raise InputError("sample size must be at least 1")
-    periodic = model.id in (ModelId.TRIG_TRANSLATIONAL, ModelId.BINOMIAL_TRIG_IRF)
-    center = 0.0 if periodic else float(xi_ml)
+    center = 0.0 if model.id in _PERIODIC else float(xi_ml)
     grid = _make_grid(center, 8.0 * _reference_sigma(model, n), model.xi_domain, grid_size)
     deltas = center - grid
     h_model = _carrier(model)  # the binomial borrows its carrier's H
@@ -225,7 +231,9 @@ def compare_to_gaussian(post: PosteriorGrid, ref: PosteriorGrid) -> ComparisonRe
     sigma = 1.0 / math.sqrt(-curv)
     center = grid[i0]
     lo, hi = center - 3.0 * sigma, center + 3.0 * sigma
-    window = (grid >= lo) & (grid <= hi)
+    # On the default grid the window edges fall on grid points; a relative
+    # slack of 1e-9 keeps them in the window whatever the rounding of sigma.
+    window = np.abs(grid - center) <= 3.0 * sigma * (1.0 + 1e-9)
     dev = np.abs((lp - np.max(lp)) - (lr - np.max(lr)))
     sup = float(np.max(dev[window]))
 

@@ -154,6 +154,19 @@ def test_quad_tol_flag_and_env(capsys, monkeypatch):
     assert "GAUSSN_QUAD_TOL" in err
 
 
+def test_quad_tol_only_where_quadrature_runs(capsys):
+    for argv in (
+        ("criterion", "--model", "chi2log"),
+        ("table", "--model", "chi2log", "--n", "3"),
+        ("posterior", "--model", "gauss", "--xi-true", "0", "--n", "5", "--seed", "1"),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--quad-tol", "1e-8")
+        assert code == 2
+        assert "--quad-tol" in err
+    code, _, _ = run_cli(capsys, "verify", "--suite", "table1", "--quad-tol", "1e-8")
+    assert code == 0
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "table", "--model", "chi2log", "--n", "3", "--out", str(path))

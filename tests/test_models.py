@@ -17,6 +17,7 @@ from gaussn import (
     normalization_check,
     sample,
 )
+from gaussn.models import _trig_log_lik
 
 HALF_PI = math.pi / 2.0
 
@@ -197,11 +198,64 @@ def test_trig_estimate_zeroes_the_score(trig):
         assert abs(score) <= 1e-8 * n
 
 
+def test_trig_estimate_is_unchanged_by_the_kernel(trig):
+    # Reference values of the elementwise cos/log scan, bit for bit: the
+    # scan only picks candidates, and the exact sum ranks them.
+    for xi, n, seed, want in (
+        (0.3, 8, 1, 0.4551696723366413),
+        (1.5, 50, 2, 1.495015997935771),
+        (-1.2, 500, 3, -1.1835792667796337),
+        (0.3, 500, 300038, 0.30434184776606465),
+        (1.4, 3000, 4, 1.4129425139997294),
+        (1.55, 50, 3, -1.5394400123732521),
+    ):
+        assert ml_estimate(trig, sample(trig, xi, n, seed)) == want
+
+
+def _fsum_trig_log_lik(xs, grid):
+    return np.array(
+        [math.fsum(math.log(2.0 / math.pi * math.cos(x - g) ** 2) for x in xs) for g in grid]
+    )
+
+
+@pytest.mark.parametrize("n", (1, 15, 16, 17, 500))
+def test_trig_kernel_matches_fsum_oracle(trig, n):
+    xs = sample(trig, 0.3, n, 40 + n).as_array()
+    grid = np.linspace(-HALF_PI, HALF_PI, 81)
+    assert np.max(np.abs(_trig_log_lik(xs, grid) - _fsum_trig_log_lik(xs, grid))) <= 1e-9
+
+
+def test_trig_kernel_near_poles(trig):
+    # Observations within 1e-12 of a pole x - xi = +-pi/2 of some grid
+    # point, where angle addition alone would lose every digit of cos.
+    grid = np.linspace(-1.0, 1.0, 41)
+    poles = [grid[5] + HALF_PI, grid[30] - HALF_PI, grid[15] + HALF_PI, grid[28] - HALF_PI]
+    xs = np.concatenate(
+        [[p + d for p in poles for d in (-1e-12, 0.0, 3e-13)], sample(trig, 0.1, 40, 6).as_array()]
+    )
+    assert np.all(np.abs(xs) <= HALF_PI)
+    got = _trig_log_lik(xs, grid)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - _fsum_trig_log_lik(xs, grid))) <= 1e-9
+
+
 def test_observations_validation(chi2, binom):
     with pytest.raises(InputError):
         Observations(())
     with pytest.raises(InputError):
         ml_estimate(binom, Observations((0.5,)))
+
+
+def test_observations_hold_one_read_only_array(trig):
+    obs = sample(trig, 0.3, 50, 1)
+    assert all(type(v) is float for v in obs.values)
+    assert obs.as_array() is obs.as_array()
+    np.testing.assert_array_equal(obs.as_array(), obs.values)
+    with pytest.raises(ValueError):
+        obs.as_array()[0] = 0.0
+    assert Observations(obs.values) == obs
+    assert Observations(list(obs.values)) == obs
+    assert "_array" not in repr(Observations((1.0, 2.0)))
 
 
 # ---------------------------------------------------------------------------

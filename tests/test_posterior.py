@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussn.models
 from gaussn import (
@@ -137,12 +139,15 @@ def test_chi2log_residual_profile_at_160(chi2):
     rep = compare_to_gaussian(pg, ref)
     lo, hi = rep.interval
     assert (lo, hi) == pytest.approx((-3.0 / math.sqrt(n), 3.0 / math.sqrt(n)), abs=1e-12)
-    window = (pg.xi_values >= lo) & (pg.xi_values <= hi)
+    # The window edges fall on grid points; those points belong to the window.
+    slack = 1e-9 * (hi - lo)
+    window = (pg.xi_values >= lo - slack) & (pg.xi_values <= hi + slack)
+    assert np.count_nonzero(window) == 751
     oracle = max(
         abs(n * (h_closed_form(chi2, -x) + x**2 / 2.0)) for x in pg.xi_values[window]
     )
     assert rep.sup_log_deviation == pytest.approx(oracle, abs=1e-9)
-    assert 0.36 <= rep.sup_log_deviation <= 0.39  # frozen band, 0.3748 at this grid
+    assert 0.36 <= rep.sup_log_deviation <= 0.39  # frozen band, 0.3779 at this grid
 
 
 def test_deviation_decreases_with_n(chi2, trig):
@@ -241,8 +246,9 @@ def test_given_estimate_is_the_computed_one(chi2, trig, binom):
 
 def test_blocked_trig_likelihood_matches_one_block(trig, monkeypatch):
     obs = sample(trig, 0.3, 300, 5)
+    monkeypatch.setattr(gaussn.models, "_BLOCK_ELEMENTS", 1 << 30)  # one block
     whole = posterior_from_observations(trig, obs)
-    monkeypatch.setattr(gaussn.models, "_BLOCK_ELEMENTS", 7 * 4001)  # 3 to 7 rows a block
+    monkeypatch.setattr(gaussn.models, "_BLOCK_ELEMENTS", 7 * 4001)  # 16 rows a block, the least
     blocked = posterior_from_observations(trig, obs)
     np.testing.assert_allclose(blocked.xi_values, whole.xi_values, rtol=0, atol=1e-13)
     assert np.max(np.abs(blocked.densities - whole.densities)) <= 1e-9 * np.max(whole.densities)
@@ -262,3 +268,73 @@ def test_posterior_memory_does_not_scale_with_n_times_grid(name):
         tracemalloc.stop()
     assert peak <= 64 * 2**20
     assert _grid_mass(post) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_trig_posterior_memory_is_one_block(trig):
+    # At N = 20,000 an N x G matrix would take 320 MB; the kernel holds two
+    # block buffers of 2**16 doubles (512 kB each) plus O(N + G): 1.5 MB.
+    obs = sample(trig, 0.3, 20_000, 18)
+    xi_ml = ml_estimate(trig, obs)
+    tracemalloc.start()
+    try:
+        post = posterior_from_observations(trig, obs, xi_ml=xi_ml)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert _grid_mass(post) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_window_keeps_its_edge_points_under_tiny_shifts(trig):
+    # The 3-sigma window edges land on grid points to within rounding; a
+    # 1e-10 shift of the estimate must not drop them from the sup.
+    obs = sample(trig, 0.3, 500, 2)
+    xi_ml = ml_estimate(trig, obs)
+    counts, sups = set(), []
+    for shift in np.linspace(-5e-10, 5e-10, 41):
+        post = posterior_from_observations(trig, obs, xi_ml=xi_ml + shift)
+        ref = gaussian_reference(xi_ml + shift, 4.0, obs.n, grid=post.xi_values)
+        rep = compare_to_gaussian(post, ref)
+        lo, hi = rep.interval
+        slack = 1e-9 * (hi - lo)
+        counts.add(int(np.count_nonzero((post.xi_values >= lo - slack) & (post.xi_values <= hi + slack))))
+        sups.append(rep.sup_log_deviation)
+    assert counts == {751}
+    assert max(sups) - min(sups) <= 1e-6 * max(sups)
+
+
+def test_periodic_grid_wraps_instead_of_clipping(trig):
+    # The estimate sits next to -pi/2; the window must not run off the grid.
+    obs = sample(trig, 1.55, 50, 3)
+    xi_ml = ml_estimate(trig, obs)
+    assert xi_ml == pytest.approx(-1.5394, abs=1e-4)
+    post = posterior_from_observations(trig, obs, xi_ml=xi_ml)
+    ref = gaussian_reference(xi_ml, 4.0, obs.n, grid=post.xi_values)
+    lo, hi = compare_to_gaussian(post, ref).interval
+    assert post.xi_values[0] < lo < hi < post.xi_values[-1]
+    assert post.xi_values[0] < -HALF_PI
+    assert post.xi_values[np.argmax(post.densities)] == pytest.approx(xi_ml, abs=1e-3)
+
+
+def test_periodic_grid_halfwidth_stops_at_one_period(trig, binom):
+    for model in (trig, binom):
+        obs = sample(model, 0.3, 2, 4)
+        post = posterior_from_observations(model, obs, xi_ml=1.2)
+        assert post.xi_values[0] == pytest.approx(1.2 - HALF_PI, abs=1e-15)
+        assert post.xi_values[-1] == pytest.approx(1.2 + HALF_PI, abs=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t=st.floats(-HALF_PI, HALF_PI),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**20),
+    name=st.sampled_from(("trig", "binom")),
+)
+def test_periodic_posterior_is_invariant_under_a_period(t, n, seed, name):
+    model = make_model(name)
+    obs = sample(model, 0.3, n, seed)
+    a = posterior_from_observations(model, obs, xi_ml=t)
+    b = posterior_from_observations(model, obs, xi_ml=t + math.pi)
+    np.testing.assert_allclose(b.xi_values - math.pi, a.xi_values, rtol=0, atol=1e-12)
+    assert np.max(np.abs(a.densities - b.densities)) <= 1e-9 * np.max(a.densities)
