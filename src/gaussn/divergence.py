@@ -29,6 +29,7 @@ shape.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -124,13 +125,7 @@ def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = 
         predicted = 0.5 * model.analytic_fisher * delta * delta
         abs_eff = min(base.abs_tol, max(1e-3 * predicted, 1e-17))
         if abs_eff < base.abs_tol:
-            base = QuadratureConfig(
-                abs_tol=abs_eff,
-                rel_tol=base.rel_tol,
-                max_subdivisions=base.max_subdivisions,
-                tail_cutoff=base.tail_cutoff,
-                singularity_epsilon=base.singularity_epsilon,
-            )
+            base = dataclasses.replace(base, abs_tol=abs_eff)
         res = integrate(integrand, model.x_domain, base)
     return HEvaluation(delta, res.value, res.error_estimate, "quadrature")
 
@@ -186,12 +181,8 @@ def h_derivative_numeric(
     if model.id is ModelId.TRIG_TRANSLATIONAL and abs(delta) + 2.0 * h > math.pi:
         raise InputError("delta too close to the period boundary for the stencil")
     base = cfg or QuadratureConfig()
-    inner = QuadratureConfig(
-        abs_tol=min(base.abs_tol, 1e-13),
-        rel_tol=min(base.rel_tol, 1e-13),
-        max_subdivisions=base.max_subdivisions,
-        tail_cutoff=base.tail_cutoff,
-        singularity_epsilon=base.singularity_epsilon,
+    inner = dataclasses.replace(
+        base, abs_tol=min(base.abs_tol, 1e-13), rel_tol=min(base.rel_tol, 1e-13)
     )
     cache: dict[float, float] = {}
 

@@ -20,6 +20,7 @@ cancels in every posterior).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -67,13 +68,7 @@ def _floored(model: ModelSpec, cfg: QuadratureConfig | None, floor: float) -> Qu
         min(base.abs_tol, f * base.rel_tol),
         f * floor * max(1.0, model.sigma_param),
     )
-    return QuadratureConfig(
-        abs_tol=abs_eff,
-        rel_tol=max(base.rel_tol, floor),
-        max_subdivisions=base.max_subdivisions,
-        tail_cutoff=base.tail_cutoff,
-        singularity_epsilon=base.singularity_epsilon,
-    )
+    return dataclasses.replace(base, abs_tol=abs_eff, rel_tol=max(base.rel_tol, floor))
 
 
 @dataclass(frozen=True)
@@ -110,12 +105,13 @@ def _fd_step(model: ModelSpec, h: float) -> float:
     return h
 
 
-def _score_fd(model: ModelSpec, xs, xi: float):
+def _score_fd(model: ModelSpec, xs, xi: float, p):
     """Numerical score d/dxi ln p, as a density difference over the density.
 
-    The central difference of p is Richardson extrapolated once; where the
-    density underflows to zero the score is reported as zero (those points
-    carry no weight).
+    ``p`` is the density at ``xs`` and ``xi``, which every caller already
+    holds.  The central difference of p is Richardson extrapolated once;
+    where the density underflows to zero the score is reported as zero
+    (those points carry no weight).
     """
     h = _fd_step(model, _GRAD_STEP)
 
@@ -125,7 +121,6 @@ def _score_fd(model: ModelSpec, xs, xi: float):
         ) / (2.0 * hh)
 
     d = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-    p = _density_unchecked(model, xs, xi)
     out = np.zeros_like(p)
     mask = p > 0.0
     out[mask] = d[mask] / p[mask]
@@ -139,22 +134,23 @@ def fisher_gradient_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | No
         xi = _nudge_binomial(xi)
         xs = np.array([0.0, 1.0])
         p = _density_unchecked(model, xs, xi)
-        return float(np.sum(p * _score_fd(model, xs, xi) ** 2))
+        return float(np.sum(p * _score_fd(model, xs, xi, p) ** 2))
 
     def integrand(xs):
         p = _density_unchecked(model, xs, xi)
-        return p * _score_fd(model, xs, xi) ** 2
+        return p * _score_fd(model, xs, xi, p) ** 2
 
     if math.isinf(model.x_domain[0]):
         cfg = _line_config(model, xi, cfg)
     return integrate(integrand, model.x_domain, _floored(model, cfg, _GRAD_TOL_FLOOR)).value
 
 
-def _curvature_stencil(model: ModelSpec, xs, xi: float):
+def _curvature_stencil(model: ModelSpec, xs, xi: float, ld):
+    """Second difference of ln p in xi; ``ld`` is ln p at ``xi`` itself."""
     h = _fd_step(model, _CURV_STEP)
     return (
         _log_density_unchecked(model, xs, xi + h)
-        - 2.0 * _log_density_unchecked(model, xs, xi)
+        - 2.0 * ld
         + _log_density_unchecked(model, xs, xi - h)
     ) / h**2
 
@@ -165,11 +161,12 @@ def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | N
     if model.id is ModelId.BINOMIAL_TRIG_IRF:
         xi = _nudge_binomial(xi)
         xs = np.array([0.0, 1.0])
-        p = _density_unchecked(model, xs, xi)
-        return float(-np.sum(p * _curvature_stencil(model, xs, xi)))
+        ld = _log_density_unchecked(model, xs, xi)
+        return float(-np.sum(np.exp(ld) * _curvature_stencil(model, xs, xi, ld)))
 
     def integrand(xs):
-        return _density_unchecked(model, xs, xi) * _curvature_stencil(model, xs, xi)
+        ld = _log_density_unchecked(model, xs, xi)
+        return np.exp(ld) * _curvature_stencil(model, xs, xi, ld)
 
     if math.isinf(model.x_domain[0]):
         cfg = _line_config(model, xi, cfg)

@@ -19,6 +19,7 @@ All operations are pure; sampling is deterministic given the seed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -191,13 +192,7 @@ def _line_config(model: ModelSpec, center: float, cfg: QuadratureConfig | None) 
         need = abs(center) + 12.0 * model.sigma_param
     if need <= base.tail_cutoff:
         return base
-    return QuadratureConfig(
-        abs_tol=base.abs_tol,
-        rel_tol=base.rel_tol,
-        max_subdivisions=base.max_subdivisions,
-        tail_cutoff=need,
-        singularity_epsilon=base.singularity_epsilon,
-    )
+    return dataclasses.replace(base, tail_cutoff=need)
 
 
 def density(model: ModelSpec, x: float, xi: float) -> float:

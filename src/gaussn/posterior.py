@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _carrier, h_closed_form, h_functional
-from .errors import InputError, UnsupportedModelError
+from .divergence import _carrier, h_closed_form
+from .errors import InputError
 from .models import ModelId, ModelSpec, Observations, _logsumexp, _trig_log_lik, ml_estimate
 
 __all__ = [
@@ -159,8 +159,8 @@ def posterior_asymptotic(
 ) -> PosteriorGrid:
     """Posterior proportional to exp(N * H(xi_ml - xi)) on the grid.
 
-    Uses the closed-form H where one exists and quadrature otherwise.  The
-    trigonometric model (and the binomial, which borrows its H) is first
+    Uses the closed-form H of the model's carrier (every carrier has one).
+    The trigonometric model (and the binomial, which borrows its H) is first
     recentered at zero, so ``xi_ml`` only selects which posterior is meant,
     not where the grid sits.
     """
@@ -171,10 +171,7 @@ def posterior_asymptotic(
     grid = _make_grid(center, 8.0 * _reference_sigma(model, n), model.xi_domain, grid_size)
     deltas = center - grid
     h_model = _carrier(model)  # the binomial borrows its carrier's H
-    try:
-        h_values = np.array([h_closed_form(h_model, d) for d in deltas])
-    except UnsupportedModelError:
-        h_values = np.array([h_functional(h_model, d).value for d in deltas])
+    h_values = np.array([h_closed_form(h_model, d) for d in deltas])
     return PosteriorGrid(grid, _normalize(grid, n * h_values), True)
 
 

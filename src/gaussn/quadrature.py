@@ -26,12 +26,19 @@ Integrand convention: callables receive a numpy array of abscissae and must
 return an array of values (all integrands in this package are numpy
 vectorized).
 
+Integrand calls: a split evaluates both halves in one call on their 30
+abscissae, and the probes of one excision (every side, held-out point
+included) take one call.  Each half is rated from its own 15 values by its
+own dot products, so the partition and the totals do not depend on how the
+abscissae are grouped into calls.
+
 Determinism: panels are totalled in ascending interval order with
 compensated summation, so results do not depend on refinement scheduling.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -116,16 +123,31 @@ class IntegrationResult:
     subdivisions_used: int
 
 
-def _panel(f, a, b):
-    """Gauss-Kronrod 7-15 estimate of one panel: (value, error)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    y = np.asarray(f(c + h * _NODES), dtype=float)
-    if y.shape != (15,):
+def _abscissae(a, b):
+    """The 15 Kronrod abscissae of the panel [a, b]."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+
+
+def _values(f, xs):
+    """Integrand values at the abscissae ``xs``, checked for shape."""
+    y = np.asarray(f(xs), dtype=float)
+    if y.shape != xs.shape:
         raise InputError("integrand must map an array of abscissae to values")
-    if not np.all(np.isfinite(y)):
+    return y
+
+
+def _rule(y, a, b):
+    """Gauss-Kronrod 7-15 estimate of the panel [a, b] from its 15 values.
+
+    Every Kronrod weight is positive, so an inf or NaN among the values
+    makes the Kronrod sum non-finite; only then are the values inspected
+    one by one (a finite panel whose sum overflows is not an error).
+    """
+    h = 0.5 * (b - a)
+    s = float(_WK @ y)
+    if not math.isfinite(s) and not np.all(np.isfinite(y)):
         raise QuadratureError(f"integrand not finite inside panel [{a!r}, {b!r}]")
-    k = h * float(_WK @ y)
+    k = h * s
     g = h * float(_WG @ y)
     err = abs(k - g)
     resabs = h * float(_WK @ np.abs(y))
@@ -139,7 +161,7 @@ def _panel(f, a, b):
 
 
 def _adaptive(f, a, b, cfg):
-    value0, err0 = _panel(f, a, b)
+    value0, err0 = _rule(_values(f, _abscissae(a, b)), a, b)
     # Max-heap on error; (a, b) breaks ties so scheduling is deterministic.
     heap = [(-err0, a, b, value0, err0)]
     stuck = []  # panels at machine resolution, no longer splittable
@@ -182,8 +204,10 @@ def _adaptive(f, a, b, cfg):
         if not (pa < pm < pb):
             stuck.append((pa, pb, pv, pe))
             continue
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
+        # Both halves in one integrand call; each keeps its own 15 values.
+        y = _values(f, np.concatenate([_abscissae(pa, pm), _abscissae(pm, pb)]))
+        v1, e1 = _rule(y[:15], pa, pm)
+        v2, e2 = _rule(y[15:], pm, pb)
         heapq.heappush(heap, (-e1, pa, pm, v1, e1))
         heapq.heappush(heap, (-e2, pm, pb, v2, e2))
         run_val += v1 + v2 - pv
@@ -194,7 +218,7 @@ def _adaptive(f, a, b, cfg):
 def _truncate_end(f, point, cutoff, threshold, side):
     """Replace an infinite endpoint by +-cutoff, verifying negligibility."""
     edge = cutoff if side == "upper" else -cutoff
-    mag = abs(float(np.asarray(f(np.array([edge])), dtype=float)[0]))
+    mag = abs(float(_values(f, np.array([edge]))[0]))
     if not mag <= threshold:
         raise QuadratureError(
             f"integrand magnitude {mag:.3e} at truncation point {edge!r} "
@@ -232,21 +256,23 @@ def _fit_log_poly(f, s0, sides, eps):
     Sampling distances are 2, 4 and 8 epsilon on every available side;
     sides are averaged so the odd part of the smooth factor cancels.
     Returns (coeffs, mismatch) where mismatch is the fit residual at the
-    held-out distance 16 epsilon.
+    held-out distance 16 epsilon.  All probes of all sides take one
+    integrand call.
     """
     dists = np.array([2.0, 4.0, 8.0]) * eps
     logs = np.log(dists)
     vander = np.column_stack([logs**2, logs, np.ones(3)])
+    d_chk = 16.0 * eps
+    lc = math.log(d_chk)
+    probes = np.append(dists, d_chk)
+    ys = _values(f, np.concatenate([s0 + sign * probes for sign in sides]))
     coeff_sets = []
     mismatches = []
-    for sign in sides:
-        ys = np.asarray(f(s0 + sign * dists), dtype=float)
-        if not np.all(np.isfinite(ys)):
+    for row in ys.reshape(len(sides), 4):
+        fit, y_chk = row[:3], float(row[3])
+        if not np.all(np.isfinite(fit)):
             raise QuadratureError(f"integrand not finite while probing singularity at {s0!r}")
-        coeffs = np.linalg.solve(vander, ys)
-        d_chk = 16.0 * eps
-        y_chk = float(np.asarray(f(np.array([s0 + sign * d_chk])), dtype=float)[0])
-        lc = math.log(d_chk)
+        coeffs = np.linalg.solve(vander, fit)
         mismatches.append(abs(y_chk - (coeffs[0] * lc**2 + coeffs[1] * lc + coeffs[2])))
         coeff_sets.append(coeffs)
     coeffs = np.mean(coeff_sets, axis=0)
@@ -315,13 +341,7 @@ def integrate_with_log_singularity(
     segments = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)]
     segments = [(lo, hi) for lo, hi in segments if hi - lo > 0.0]
 
-    seg_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol / max(len(segments), 1),
-        rel_tol=cfg.rel_tol,
-        max_subdivisions=cfg.max_subdivisions,
-        tail_cutoff=cfg.tail_cutoff,
-        singularity_epsilon=cfg.singularity_epsilon,
-    )
+    seg_cfg = dataclasses.replace(cfg, abs_tol=cfg.abs_tol / max(len(segments), 1))
     values = []
     errors = []
     nsub = 0

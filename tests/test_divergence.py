@@ -206,3 +206,27 @@ def test_evaluation_metadata(trig):
     assert ev.method == "quadrature"
     assert ev.delta == 0.4
     assert ev.error_estimate >= 0.0
+
+
+# H(delta) value and error estimate, recorded before the quadrature
+# evaluated both halves of a split in one integrand call; the partition and
+# the totals must not depend on how abscissae are grouped into calls.
+FROZEN_H = {
+    ("chi2log", 1e-6): (-5.000001666047091e-13, 1.0172992074185983e-16),
+    ("chi2log", 0.5): (-0.14872127070012775, 5.1493559809772384e-11),
+    ("chi2log", -1.3): (-0.5725317930340109, 5.843616356339659e-11),
+    ("gauss", 1e-6): (-5.000000000704524e-13, 2.1365417061031155e-16),
+    ("gauss", 0.5): (-0.12499999999999958, 5.256503914335865e-11),
+    ("gauss", -1.3): (-0.8449999999999975, 2.18606782581673e-12),
+    ("trig", 1e-6): (-1.9999550531130796e-12, 2.80565609181811e-18),
+    ("trig", 0.5): (-0.45969769413186096, 3.415433119551214e-11),
+    ("trig", -1.3): (-1.8568887533689469, 8.322366030786692e-11),
+}
+
+
+@pytest.mark.parametrize("name,delta", sorted(FROZEN_H))
+def test_h_functional_bit_identical(name, delta):
+    res = h_functional(make_model(name), delta)
+    value, error = FROZEN_H[name, delta]
+    assert repr(res.value) == repr(value)
+    assert repr(res.error_estimate) == repr(error)

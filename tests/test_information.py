@@ -86,3 +86,22 @@ def test_binomial_degenerate_parameter_is_nudged(binom):
     assert fisher_gradient_form(binom, 0.0) == pytest.approx(4.0, abs=1e-6)
     assert fisher_curvature_form(binom, 0.0) == pytest.approx(4.0, abs=1e-5)
     assert fisher_curvature_form(binom, math.pi / 2.0) == pytest.approx(4.0, abs=1e-5)
+
+
+# Bit patterns of both forms at xi = 0.3, recorded before the quadrature
+# evaluated both halves of a split in one integrand call.  Any change to
+# the partition, the summation order or the integrand arithmetic shows here.
+FROZEN_FISHER = {
+    "chi2log": (1.0000000000004172, 1.0000000075434088),
+    "gauss": (1.0000000000092517, 1.0000000000698899),
+    "trig": (3.9999999999839475, 3.999999991540256),
+    "binom": (3.9999999999793614, 4.000000104190075),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FISHER))
+def test_fisher_forms_bit_identical(name):
+    model = make_model(name)
+    grad, curv = FROZEN_FISHER[name]
+    assert repr(fisher_gradient_form(model, 0.3)) == repr(grad)
+    assert repr(fisher_curvature_form(model, 0.3)) == repr(curv)

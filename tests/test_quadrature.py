@@ -177,3 +177,123 @@ def test_deterministic_results():
     r2 = integrate_with_log_singularity(f, (-HALF_PI, HALF_PI), pts)
     assert r1.value == r2.value
     assert r1.error_estimate == r2.error_estimate
+
+
+class _Counted:
+    """Integrand wrapper that records the size of every call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, xs):
+        self.sizes.append(len(xs))
+        return self.f(xs)
+
+
+def test_split_evaluates_both_halves_in_one_call():
+    f = _Counted(lambda x: np.exp(np.sin(7.0 * x)) * np.cos(13.0 * x))
+    res = integrate(f, (0.0, 6.0))
+    assert res.subdivisions_used > 10
+    assert len(f.sizes) == 1 + res.subdivisions_used
+    assert f.sizes == [15] + [30] * res.subdivisions_used
+
+
+def test_excision_probes_take_one_call():
+    # Two segments, each one first panel plus its splits, then the probes
+    # of both sides of the single excision in one call.
+    f = _Counted(lambda x: np.log(np.abs(x)))
+    res = integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
+    assert res.value == pytest.approx(-2.0, abs=1e-9)
+    assert len(f.sizes) == 2 + res.subdivisions_used + 1
+    assert f.sizes[-1] == 8
+
+
+def _first_panel_abscissae(a, b):
+    from gaussn.quadrature import _NODES
+
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+
+
+def _poisoned(base, points, values):
+    def f(x):
+        y = base(x)
+        for p, v in zip(points, values):
+            y = np.where(x == p, v, y)
+        return y
+
+    return f
+
+
+def test_inf_value_raises_naming_the_panel():
+    xs = _first_panel_abscissae(0.0, 2.0)
+    f = _poisoned(np.cos, [xs[3]], [np.inf])
+    with pytest.raises(QuadratureError, match=r"inside panel \[0\.0, 2\.0\]"):
+        integrate(f, (0.0, 2.0))
+
+
+def test_inf_in_right_half_of_a_split_names_that_half():
+    # sqrt needs splits; the first split of [0, 2] evaluates [0, 1] and
+    # [1, 2] together, and the error must name the half that holds the inf.
+    xs = _first_panel_abscissae(1.0, 2.0)
+    f = _poisoned(np.sqrt, [xs[5]], [np.inf])
+    with pytest.raises(QuadratureError, match=r"inside panel \[1\.0, 2\.0\]"):
+        integrate(f, (0.0, 2.0))
+
+
+def test_opposite_infinities_in_one_panel_raise():
+    # +inf and -inf make the Kronrod sum NaN rather than infinite.
+    xs = _first_panel_abscissae(0.0, 2.0)
+    f = _poisoned(np.cos, [xs[2], xs[9]], [np.inf, -np.inf])
+    with pytest.raises(QuadratureError, match="not finite"), np.errstate(invalid="ignore"):
+        integrate(f, (0.0, 2.0))
+
+
+def test_nan_value_raises():
+    xs = _first_panel_abscissae(0.0, 2.0)
+    f = _poisoned(np.cos, [xs[7]], [np.nan])
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate(f, (0.0, 2.0))
+
+
+def test_finite_values_whose_sum_overflows_do_not_raise():
+    with np.errstate(over="ignore"):
+        res = integrate(lambda x: np.full_like(x, 1e308), (0.0, 4.0))
+    assert res.value == math.inf
+    assert res.subdivisions_used == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda x: 1.0, lambda x: np.ones(len(x) + 1), lambda x: np.ones((len(x), 1))],
+    ids=["scalar", "too_long", "column"],
+)
+def test_wrong_shape_raises_input_error(bad):
+    with pytest.raises(InputError, match="integrand must map"):
+        integrate(bad, (0.0, 1.0))
+    with pytest.raises(InputError, match="integrand must map"):
+        integrate_with_log_singularity(bad, (-1.0, 1.0), [0.0])
+
+
+_EPS_SING = QuadratureConfig().singularity_epsilon
+
+
+@pytest.mark.parametrize("point", [2.0 * _EPS_SING, -4.0 * _EPS_SING])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_fit_probe_raises(point, value):
+    # Only the probe abscissae s0 +- {2, 4, 8} eps carry the bad value; the
+    # segments integrate cleanly.
+    f = _poisoned(lambda x: np.log(np.abs(x)), [point], [value])
+    with pytest.raises(QuadratureError, match="probing singularity at 0.0"):
+        integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
+
+
+def test_wrong_shape_at_the_probes_raises_input_error():
+    held_out = 16.0 * _EPS_SING
+
+    def f(x):
+        y = np.log(np.abs(x))
+        return y[:-1] if np.any(x == held_out) else y
+
+    with pytest.raises(InputError, match="integrand must map"):
+        integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
