@@ -15,29 +15,23 @@ and every derivative below is taken with respect to delta.  H is
 nonpositive, vanishes only at delta = 0, and its negative second derivative
 at zero is the Fisher information.
 
-Closed forms (validated against quadrature by the test suite before the
-criterion layer relies on them):
-
-    chi2log:  H(delta) = delta + 1 - e^delta
-    gauss:    H(delta) = -delta^2 / (2 sigma^2)
-    trig:     H(delta) = cos(2 delta) - 1
-
-The binomial model has no two-point H of its own; it inherits the H of its
-trigonometric carrier, which shares its Fisher information and posterior
-shape.
+The closed forms live in the family records of ``models`` (validated
+against quadrature by the test suite): H = delta + 1 - e^delta (chi2log),
+-delta^2 / (2 sigma^2) (gauss) and cos(2 delta) - 1 (trig).  The binomial
+model has no two-point H of its own; it uses the H of its trigonometric
+carrier, which shares its Fisher information and posterior shape.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import InputError, UnsupportedModelError
-from .models import ModelId, ModelSpec, _line_config, _log_density_unchecked, make_model
+from .models import ModelSpec, _line_config
 from .quadrature import QuadratureConfig, integrate, integrate_with_log_singularity
 
 __all__ = [
@@ -49,8 +43,6 @@ __all__ = [
     "max_abs_derivative",
 ]
 
-_HALF_PI = math.pi / 2.0
-
 
 @dataclass(frozen=True)
 class HEvaluation:
@@ -60,107 +52,59 @@ class HEvaluation:
     method: Literal["quadrature", "closed_form"]
 
 
-def _carrier(model: ModelSpec) -> ModelSpec:
-    """The translation family whose H the model uses."""
-    if model.id is ModelId.BINOMIAL_TRIG_IRF:
-        return make_model(ModelId.TRIG_TRANSLATIONAL)
-    return model
-
-
-def _check_delta(model: ModelSpec, delta: float):
-    if model.id is ModelId.TRIG_TRANSLATIONAL and abs(delta) > math.pi:
-        raise InputError(f"shift {delta!r} exceeds one period (|delta| <= pi)")
-
-
-def _log_ratio(model: ModelSpec, us, delta: float):
-    """ln p(u + delta) - ln p(u), formed without catastrophic cancellation.
-
-    The naive difference of two log densities loses all significant digits
-    once |delta| is small (H ~ -F delta^2 / 2 but the two logs agree to
-    O(delta)); these forms keep the sign of H correct down to
-    |delta| ~ 1e-8.
-    """
-    mid = model.id
-    if mid is ModelId.CHI_SQUARED_LOG:
-        with np.errstate(over="ignore"):
-            return delta - np.exp(us) * np.expm1(delta)
-    if mid is ModelId.GAUSSIAN_SHIFT:
-        return -(2.0 * us + delta) * delta / (2.0 * model.sigma_param**2)
-    with np.errstate(divide="ignore"):
-        return 2.0 * (np.log(np.abs(np.cos(us + delta))) - np.log(np.abs(np.cos(us))))
-
-
 def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = None) -> HEvaluation:
     """Evaluate H(delta) by quadrature.
 
-    The trigonometric integrand diverges logarithmically where the shifted
-    cosine vanishes; those points are excised and restored by the
-    quadrature layer.
+    Where the family's density has zeros (trig), the integrand diverges
+    logarithmically at the shifted zeros; those points are excised and
+    restored by the quadrature layer.
     """
-    model = _carrier(model)
-    _check_delta(model, delta)
+    family = model._family.carrier
+    family.check_shift(delta)
     delta = float(delta)
     if delta == 0.0:
         return HEvaluation(0.0, 0.0, 0.0, "quadrature")  # integrand identically zero
 
     def integrand(us):
-        p0 = np.exp(_log_density_unchecked(model, us, 0.0))
+        p0 = np.exp(family.log_density(us, 0.0))
         with np.errstate(invalid="ignore"):
             # p ln(p'/p) -> 0 where p underflows; only that limit is masked,
             # a non-finite ratio against positive weight must surface
-            return np.where(p0 > 0.0, p0 * _log_ratio(model, us, delta), 0.0)
+            return np.where(p0 > 0.0, p0 * family.log_ratio(us, delta), 0.0)
 
-    if model.id is ModelId.TRIG_TRANSLATIONAL:
-        lo, hi = model.x_domain
-        points = [
-            u for u in (k * _HALF_PI - delta for k in (-3, -1, 1, 3)) if lo <= u <= hi
-        ]
-        res = integrate_with_log_singularity(integrand, (lo, hi), points, cfg)
+    if family.zeros is not None:
+        res = integrate_with_log_singularity(integrand, family.x_domain, family.zeros(-delta), cfg)
     else:
         # For small shifts H ~ -F delta^2 / 2 sits far below the default
         # absolute tolerance; tighten it so the nonpositivity theorem
         # survives the quadrature (the integrand scale shrinks with delta,
         # so the tighter target stays reachable).
-        base = _line_config(model, 0.0, cfg)  # widen for wide Gaussians
-        predicted = 0.5 * model.analytic_fisher * delta * delta
+        base = _line_config(family, 0.0, cfg)  # widen for wide Gaussians
+        predicted = 0.5 * family.fisher * delta * delta
         abs_eff = min(base.abs_tol, max(1e-3 * predicted, 1e-17))
         if abs_eff < base.abs_tol:
             base = dataclasses.replace(base, abs_tol=abs_eff)
-        res = integrate(integrand, model.x_domain, base)
+        res = integrate(integrand, family.x_domain, base)
     return HEvaluation(delta, res.value, res.error_estimate, "quadrature")
 
 
 def h_closed_form(model: ModelSpec, delta: float) -> float:
-    if model.id is ModelId.BINOMIAL_TRIG_IRF:
-        raise UnsupportedModelError("no closed-form H for the binomial model; use its trigonometric carrier")
-    _check_delta(model, delta)
-    if model.id is ModelId.CHI_SQUARED_LOG:
-        return float(delta + 1.0 - math.exp(delta))
-    if model.id is ModelId.GAUSSIAN_SHIFT:
-        return float(-(delta**2) / (2.0 * model.sigma_param**2))
-    return float(math.cos(2.0 * delta) - 1.0)
+    family = model._family
+    if family.h is None:
+        raise UnsupportedModelError(f"no closed-form H for {model.id.value}; use its carrier")
+    family.check_shift(delta)
+    return family.h(delta)
 
 
 def h_derivative_analytic(model: ModelSpec, order: int, delta: float) -> float:
-    """Exact derivative d^order/d delta^order H(delta).
-
-    chi2log: 1 - e^delta, then -e^delta for every higher order.
-    gauss:   -delta/sigma^2, -1/sigma^2, then identically zero.
-    trig:    2^order * cos(2 delta + order * pi/2).
-    """
+    """Exact derivative d^order/d delta^order H(delta), from the family's record."""
     if order < 1:
         raise InputError("derivative order must be at least 1")
-    if model.id is ModelId.BINOMIAL_TRIG_IRF:
-        raise UnsupportedModelError("binomial H derivatives live on the trigonometric carrier")
-    _check_delta(model, delta)
-    if model.id is ModelId.CHI_SQUARED_LOG:
-        return float(1.0 - math.exp(delta)) if order == 1 else float(-math.exp(delta))
-    if model.id is ModelId.GAUSSIAN_SHIFT:
-        s2 = model.sigma_param**2
-        if order == 1:
-            return float(-delta / s2)
-        return float(-1.0 / s2) if order == 2 else 0.0
-    return float(2.0**order * math.cos(2.0 * delta + order * _HALF_PI))
+    family = model._family
+    if family.h_derivative is None:
+        raise UnsupportedModelError(f"{model.id.value} H derivatives live on its carrier")
+    family.check_shift(delta)
+    return family.h_derivative(order, delta)
 
 
 def h_derivative_numeric(
@@ -175,10 +119,10 @@ def h_derivative_numeric(
     """
     if not 1 <= order <= 4:
         raise InputError("numeric derivatives support orders 1 through 4")
-    model = _carrier(model)
+    family = model._family.carrier
     h = 1e-4 if order <= 2 else 1e-2
-    _check_delta(model, delta)
-    if model.id is ModelId.TRIG_TRANSLATIONAL and abs(delta) + 2.0 * h > math.pi:
+    family.check_shift(delta)
+    if family.period is not None and abs(delta) + 2.0 * h > family.period:
         raise InputError("delta too close to the period boundary for the stencil")
     base = cfg or QuadratureConfig()
     inner = dataclasses.replace(
@@ -217,23 +161,20 @@ def h_derivative_numeric(
 def max_abs_derivative(model: ModelSpec, order: int, interval_halfwidth: float) -> float:
     """Largest |H^(order)| over |delta| <= interval_halfwidth.
 
-    The cases the acceptance criterion needs have closed maxima: e^w for
-    the chi2log third derivative (monotone), 16 for the trigonometric
-    fourth derivative (cosine peak at zero), and 0 for every derivative of
-    the Gaussian H beyond the second (H is exactly quadratic).  Other
+    The orders the criterion needs have closed maxima in the family's
+    record (chi2log order 3, trig order 4, gauss orders 3 and up); other
     orders take a dense scan of the analytic derivative.
     """
     if not interval_halfwidth > 0:
         raise InputError("interval halfwidth must be positive")
-    model = _carrier(model)
-    if model.id is ModelId.CHI_SQUARED_LOG and order == 3:
-        return float(math.exp(interval_halfwidth))
-    if model.id is ModelId.TRIG_TRANSLATIONAL and order == 4:
-        return 16.0
-    if model.id is ModelId.GAUSSIAN_SHIFT and order >= 3:
-        return 0.0
+    family = model._family.carrier
+    closed = family.h_max(order, interval_halfwidth)
+    if closed is not None:
+        return closed
+    if order < 1:
+        raise InputError("derivative order must be at least 1")
     w = interval_halfwidth
-    if model.id is ModelId.TRIG_TRANSLATIONAL:
-        w = min(w, math.pi)  # one period
+    if family.period is not None:
+        w = min(w, family.period)  # one period
     grid = np.linspace(-w, w, 10001)
-    return float(max(abs(h_derivative_analytic(model, order, d)) for d in grid))
+    return float(max(abs(family.h_derivative(order, d)) for d in grid))

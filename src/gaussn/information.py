@@ -27,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import (
-    ModelId,
-    ModelSpec,
-    _check_xi,
-    _density_unchecked,
-    _line_config,
-    _log_density_unchecked,
-)
+from .models import ModelSpec, _check_xi, _line_config
 from .quadrature import QuadratureConfig, integrate, integrate_with_log_singularity
 
 __all__ = [
@@ -47,7 +40,6 @@ __all__ = [
 
 _GRAD_STEP = 1e-5
 _CURV_STEP = 1e-4
-_HALF_PI = math.pi / 2.0
 
 # Finite differencing of machine-precision values divides roundoff by h (or
 # h^2), so the integrands carry irreducible pointwise noise.  Quadrature
@@ -59,16 +51,15 @@ _GRAD_TOL_FLOOR = 1e-9
 _CURV_TOL_FLOOR = 5e-8
 
 
-def _floored(model: ModelSpec, cfg: QuadratureConfig | None, floor: float) -> QuadratureConfig:
-    base = cfg or QuadratureConfig()
-    f = model.analytic_fisher
+def _floored(family, cfg: QuadratureConfig, floor: float) -> QuadratureConfig:
+    f = family.fisher
     # Tighten for small results (wide Gaussians, F << abs_tol), but never
     # below the stencil noise, which grows with the step scale.
     abs_eff = max(
-        min(base.abs_tol, f * base.rel_tol),
-        f * floor * max(1.0, model.sigma_param),
+        min(cfg.abs_tol, f * cfg.rel_tol),
+        f * floor * max(1.0, family.scale),
     )
-    return dataclasses.replace(base, abs_tol=abs_eff, rel_tol=max(base.rel_tol, floor))
+    return dataclasses.replace(cfg, abs_tol=abs_eff, rel_tol=max(cfg.rel_tol, floor))
 
 
 @dataclass(frozen=True)
@@ -79,46 +70,17 @@ class FisherReport:
     max_xi_variation: float
 
 
-def _nudge_binomial(xi: float) -> float:
-    """Move xi off the points where one outcome has probability zero.
-
-    At xi = 0 and +-pi/2 the defining sum contains a 0 * inf limit that a
-    pointwise finite difference cannot represent.  The Fisher information of
-    this model is constant in xi, so evaluating a short distance away is
-    exact; 0.05 keeps the second-difference truncation error below 1e-5.
-    """
-    margin = 0.05
-    if abs(xi) < margin:
-        return margin
-    if xi > _HALF_PI - margin:
-        return _HALF_PI - margin
-    if xi < -_HALF_PI + margin:
-        return -_HALF_PI + margin
-    return xi
-
-
-def _fd_step(model: ModelSpec, h: float) -> float:
-    # The base steps assume unit length scale; the Gaussian family's scale
-    # is sigma, and a fixed step drowns in roundoff once sigma is large.
-    if model.id is ModelId.GAUSSIAN_SHIFT:
-        return h * max(1.0, model.sigma_param)
-    return h
-
-
-def _score_fd(model: ModelSpec, xs, xi: float, p):
+def _score_fd(family, xs, xi: float, p, h: float):
     """Numerical score d/dxi ln p, as a density difference over the density.
 
     ``p`` is the density at ``xs`` and ``xi``, which every caller already
-    holds.  The central difference of p is Richardson extrapolated once;
-    where the density underflows to zero the score is reported as zero
-    (those points carry no weight).
+    holds.  The central difference of p with step ``h`` is Richardson
+    extrapolated once; where the density underflows to zero the score is
+    reported as zero (those points carry no weight).
     """
-    h = _fd_step(model, _GRAD_STEP)
 
     def diff(hh):
-        return (
-            _density_unchecked(model, xs, xi + hh) - _density_unchecked(model, xs, xi - hh)
-        ) / (2.0 * hh)
+        return (family.density(xs, xi + hh) - family.density(xs, xi - hh)) / (2.0 * hh)
 
     d = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
     out = np.zeros_like(p)
@@ -130,58 +92,50 @@ def _score_fd(model: ModelSpec, xs, xi: float, p):
 def fisher_gradient_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
     """Expected squared score, E[(d/dxi ln p)^2]."""
     _check_xi(model, xi)
-    if model.id is ModelId.BINOMIAL_TRIG_IRF:
-        xi = _nudge_binomial(xi)
-        xs = np.array([0.0, 1.0])
-        p = _density_unchecked(model, xs, xi)
-        return float(np.sum(p * _score_fd(model, xs, xi, p) ** 2))
+    family = model._family
+    # The base steps assume unit length scale; the Gaussian family's scale
+    # is sigma, and a fixed step drowns in roundoff once sigma is large.
+    h = _GRAD_STEP * max(1.0, family.scale)
+    if family.support is not None:
+        xi = family.nudge(xi)
+        xs = np.array(family.support)
+        p = family.density(xs, xi)
+        return float(np.sum(p * _score_fd(family, xs, xi, p, h) ** 2))
 
     def integrand(xs):
-        p = _density_unchecked(model, xs, xi)
-        return p * _score_fd(model, xs, xi, p) ** 2
+        p = family.density(xs, xi)
+        return p * _score_fd(family, xs, xi, p, h) ** 2
 
-    if math.isinf(model.x_domain[0]):
-        cfg = _line_config(model, xi, cfg)
-    return integrate(integrand, model.x_domain, _floored(model, cfg, _GRAD_TOL_FLOOR)).value
+    cfg = _floored(family, _line_config(family, xi, cfg), _GRAD_TOL_FLOOR)
+    return integrate(integrand, model.x_domain, cfg).value
 
 
-def _curvature_stencil(model: ModelSpec, xs, xi: float, ld):
+def _curvature_stencil(family, xs, xi: float, ld, h: float):
     """Second difference of ln p in xi; ``ld`` is ln p at ``xi`` itself."""
-    h = _fd_step(model, _CURV_STEP)
-    return (
-        _log_density_unchecked(model, xs, xi + h)
-        - 2.0 * ld
-        + _log_density_unchecked(model, xs, xi - h)
-    ) / h**2
+    return (family.log_density(xs, xi + h) - 2.0 * ld + family.log_density(xs, xi - h)) / h**2
 
 
 def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
     """Negative expected curvature of the log density, -E[d^2/dxi^2 ln p]."""
     _check_xi(model, xi)
-    if model.id is ModelId.BINOMIAL_TRIG_IRF:
-        xi = _nudge_binomial(xi)
-        xs = np.array([0.0, 1.0])
-        ld = _log_density_unchecked(model, xs, xi)
-        return float(-np.sum(np.exp(ld) * _curvature_stencil(model, xs, xi, ld)))
+    family = model._family
+    h = _CURV_STEP * max(1.0, family.scale)
+    if family.support is not None:
+        xi = family.nudge(xi)
+        xs = np.array(family.support)
+        ld = family.log_density(xs, xi)
+        return float(-np.sum(np.exp(ld) * _curvature_stencil(family, xs, xi, ld, h)))
 
     def integrand(xs):
-        ld = _log_density_unchecked(model, xs, xi)
-        return np.exp(ld) * _curvature_stencil(model, xs, xi, ld)
+        ld = family.log_density(xs, xi)
+        return np.exp(ld) * _curvature_stencil(family, xs, xi, ld, h)
 
-    if math.isinf(model.x_domain[0]):
-        cfg = _line_config(model, xi, cfg)
-    cfg = _floored(model, cfg, _CURV_TOL_FLOOR)
-    if model.id is ModelId.TRIG_TRANSLATIONAL:
-        # The stencil arms ln cos^2(x - xi -+ h) diverge at h-shifted images
-        # of the density zeros; the zeros themselves are harmless but sharp.
-        lo, hi = model.x_domain
-        points = []
-        for x0 in (xi - _HALF_PI, xi + _HALF_PI):
-            for s in (x0 - _CURV_STEP, x0, x0 + _CURV_STEP):
-                if lo <= s <= hi:
-                    points.append(s)
-        res = integrate_with_log_singularity(integrand, model.x_domain, points, cfg)
-        return -res.value
+    cfg = _floored(family, _line_config(family, xi, cfg), _CURV_TOL_FLOOR)
+    if family.zeros is not None:
+        # The stencil arms ln p(x | xi -+ h) diverge at h-shifted images of
+        # the density zeros; the zeros themselves are harmless but sharp.
+        points = [s for z in family.zeros(xi) for s in (z - h, z, z + h)]
+        return -integrate_with_log_singularity(integrand, model.x_domain, points, cfg).value
     return -integrate(integrand, model.x_domain, cfg).value
 
 
@@ -217,11 +171,7 @@ def default_probe_points(model: ModelSpec, count: int = 10) -> tuple[float, ...]
     probed away from its ends, and the binomial away from its degenerate
     parameter values as well.
     """
-    if model.id in (ModelId.CHI_SQUARED_LOG, ModelId.GAUSSIAN_SHIFT):
-        return tuple(np.linspace(-3.0, 3.0, count))
-    if model.id is ModelId.TRIG_TRANSLATIONAL:
-        return tuple(np.linspace(-1.4, 1.4, count))
-    return tuple(np.linspace(0.15, 1.4, count))
+    return tuple(np.linspace(*model._family.probe_span, count))
 
 
 def prior_measure(model: ModelSpec) -> float:

@@ -14,7 +14,17 @@ variants are
 * ``binom``    the yes/no model with response probability cos^2(xi) for
   x = 1.  Fisher 4, matching its trigonometric carrier.
 
-All operations are pure; sampling is deterministic given the seed.
+Each family is one private record here (a ``_Family`` subclass, built per
+``ModelSpec`` at its sigma), the one place that tells the families apart;
+``divergence``, ``information`` and ``posterior`` are generic code reading
+it.  A record holds the domains and the Fisher information; the log
+density, sampler, ML estimator and sample log-likelihood on a grid; the
+length scale (sigma for gauss, 1 otherwise), a line family's tail and the
+probe span; the discrete support (binom) and the period (trig, binom); the
+carrier whose H it uses (binom -> trig); and, on carriers, the closed H,
+its derivatives and closed maxima, the stable log ratio and the density
+zeros where the H and curvature integrands are singular (trig).  All
+operations are pure; sampling is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -73,15 +83,25 @@ class AmbiguousMaximumWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """One model family at one sigma; the other fields are read from its record."""
+
     id: ModelId
-    x_domain: tuple[float, float]
-    xi_domain: tuple[float, float]
+    x_domain: tuple[float, float] = field(init=False)
+    xi_domain: tuple[float, float] = field(init=False)
     sigma_param: float = 1.0
-    analytic_fisher: float | None = None
+    analytic_fisher: float = field(init=False)
+    _family: _Family = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        family = _FAMILIES[self.id](self.sigma_param)
+        object.__setattr__(self, "x_domain", family.x_domain)
+        object.__setattr__(self, "xi_domain", family.xi_domain)
+        object.__setattr__(self, "analytic_fisher", family.fisher)
+        object.__setattr__(self, "_family", family)
 
     @property
     def discrete_x(self) -> bool:
-        return self.id is ModelId.BINOMIAL_TRIG_IRF
+        return self._family.support is not None
 
 
 @dataclass(frozen=True)
@@ -111,6 +131,240 @@ class Observations:
         return self._array
 
 
+class _Family:
+    """What gaussn knows about one model family, at one sigma.
+
+    The vectorized formulas do no domain validation: finite differences and
+    posterior grids probe slightly outside the parameter domain, where they
+    are still defined; a log density of -inf marks a zero of the density.
+    An attribute left at None does not apply to the family.
+    """
+
+    scale = 1.0  # length scale of x and xi
+    tail = None  # line families: half-width about the centre where p is not negligible
+    support = None  # the observation values of a discrete family
+    period = None  # the period in xi of a periodic likelihood
+    # Carriers: H(delta), H^(order)(delta), max |H^(order)| on |delta| <= w
+    # (None if not closed), ln p(u + delta) - ln p(u) without cancellation
+    # (the sign of H holds down to |delta| ~ 1e-8), zeros in x of p(x | xi).
+    h = h_derivative = h_max = log_ratio = zeros = None
+
+    def __init__(self, sigma: float):
+        self.sigma = sigma
+
+    @property
+    def carrier(self) -> _Family:
+        """The family whose H this one uses."""
+        return self
+
+    def density(self, x, xi):
+        return np.exp(self.log_density(x, xi))
+
+    def check_shift(self, delta: float):
+        if self.period is not None and abs(delta) > self.period:
+            raise InputError(f"shift {delta!r} exceeds one period (|delta| <= pi)")
+
+
+class _Chi2Log(_Family):
+    x_domain = xi_domain = (-math.inf, math.inf)
+    fisher = 1.0
+    tail = 40.0
+    probe_span = (-3.0, 3.0)
+
+    def log_density(self, x, xi):
+        u = x - xi
+        return u - np.exp(u)
+
+    def sample(self, rng, xi, n):
+        # e^(x - xi) is standard exponential under this density
+        return xi + np.log(rng.standard_exponential(n))
+
+    def ml(self, xs):
+        # argmax of sum(x_k - xi - e^(x_k - xi)) is ln(mean(e^(x_k)))
+        return float(_logsumexp(xs) - math.log(xs.size))
+
+    def log_lik(self, xs, grid):
+        # sum_k (x_k - xi - e^(x_k - xi)) = -N (d + e^(-d) - 1) + const, d = xi - xi_ml
+        d = grid - self.ml(xs)
+        return -xs.size * (d + np.expm1(-d))
+
+    def h(self, delta):
+        return float(delta + 1.0 - math.exp(delta))
+
+    def h_derivative(self, order, delta):
+        return float(1.0 - math.exp(delta)) if order == 1 else float(-math.exp(delta))
+
+    def h_max(self, order, w):
+        return float(math.exp(w)) if order == 3 else None  # H''' = -e^delta is monotone
+
+    def log_ratio(self, us, delta):
+        with np.errstate(over="ignore"):
+            return delta - np.exp(us) * np.expm1(delta)
+
+
+class _Gauss(_Family):
+    x_domain = xi_domain = (-math.inf, math.inf)
+    probe_span = (-3.0, 3.0)
+
+    def __init__(self, sigma: float):
+        super().__init__(sigma)
+        self.fisher = 1.0 / sigma**2
+        self.scale = sigma
+        self.tail = 12.0 * sigma
+
+    def log_density(self, x, xi):
+        s2 = self.sigma**2
+        return -0.5 * math.log(2.0 * math.pi * s2) - (x - xi) ** 2 / (2.0 * s2)
+
+    def sample(self, rng, xi, n):
+        return xi + self.sigma * rng.standard_normal(n)
+
+    def ml(self, xs):
+        return float(np.mean(xs))
+
+    def log_lik(self, xs, grid):
+        return -xs.size * (grid - np.mean(xs)) ** 2 / (2.0 * self.sigma**2)
+
+    def h(self, delta):
+        return float(-(delta**2) / (2.0 * self.sigma**2))
+
+    def h_derivative(self, order, delta):
+        s2 = self.sigma**2
+        if order == 1:
+            return float(-delta / s2)
+        return float(-1.0 / s2) if order == 2 else 0.0
+
+    def h_max(self, order, w):
+        return 0.0 if order >= 3 else None  # H is exactly quadratic
+
+    def log_ratio(self, us, delta):
+        return -(2.0 * us + delta) * delta / (2.0 * self.sigma**2)
+
+
+class _Trig(_Family):
+    x_domain = xi_domain = (-_HALF_PI, _HALF_PI)
+    fisher = 4.0
+    probe_span = (-1.4, 1.4)
+    period = math.pi
+
+    def log_density(self, x, xi):
+        with np.errstate(divide="ignore"):
+            return math.log(2.0 / math.pi) + 2.0 * np.log(np.abs(np.cos(x - xi)))
+
+    def sample(self, rng, xi, n):
+        return _trig_inverse_cdf(rng.random(n), xi)
+
+    def ml(self, xs):
+        lo, hi = self.xi_domain
+        grid = np.linspace(lo, hi, 4001)
+        ll = _trig_log_lik(xs, grid)
+        best = np.max(ll)
+        step = grid[1] - grid[0]
+        # Local maxima whose grid value is within resolution of the global one.
+        refined = []
+        for i in np.flatnonzero(ll >= best - 1e-6):
+            a = max(grid[max(i - 1, 0)] - step, lo)
+            b = min(grid[min(i + 1, grid.size - 1)] + step, hi)
+            t = _trig_refine(xs, float(grid[i]), float(a), float(b))
+            refined.append((t, float(np.sum(self.log_density(xs, t)))))
+        top = max(v for _, v in refined)
+        ties = sorted(t for t, v in refined if v >= top - _TRIG_TIE_TOL)
+        winners = ties[:1] + [t for prev, t in zip(ties, ties[1:]) if t - prev > _TRIG_TIE_TOL]
+        if len(winners) > 1:
+            warnings.warn(
+                f"likelihood has {len(winners)} global maxima {winners}; returning the smallest",
+                AmbiguousMaximumWarning,
+            )
+        return winners[0]
+
+    def log_lik(self, xs, grid):
+        return _trig_log_lik(xs, grid)
+
+    def h(self, delta):
+        return float(math.cos(2.0 * delta) - 1.0)
+
+    def h_derivative(self, order, delta):
+        return float(2.0**order * math.cos(2.0 * delta + order * _HALF_PI))
+
+    def h_max(self, order, w):
+        return 16.0 if order == 4 else None  # cosine peak at zero
+
+    def log_ratio(self, us, delta):
+        with np.errstate(divide="ignore"):
+            return 2.0 * (np.log(np.abs(np.cos(us + delta))) - np.log(np.abs(np.cos(us))))
+
+    def zeros(self, xi):
+        return [xi + k * _HALF_PI for k in (-3, -1, 1, 3)]
+
+
+class _Binom(_Family):
+    x_domain = (0.0, 1.0)
+    xi_domain = (-_HALF_PI, _HALF_PI)
+    fisher = 4.0
+    probe_span = (0.15, 1.4)
+    support = (0.0, 1.0)
+    period = math.pi
+
+    @property
+    def carrier(self) -> _Family:
+        return _Trig(1.0)
+
+    def log_density(self, x, xi):
+        # log cos^2(xi) for x = 1, log sin^2(xi) for x = 0
+        with np.errstate(divide="ignore"):
+            lc = 2.0 * np.log(np.abs(np.cos(xi)))
+            ls = 2.0 * np.log(np.abs(np.sin(xi)))
+        return np.where(x == 1.0, lc, ls)
+
+    def mass(self, xi):
+        """Total probability over the support, summed from the formulas."""
+        return float(np.cos(xi) ** 2 + np.sin(xi) ** 2)
+
+    def nudge(self, xi):
+        """Move xi off 0 and +-pi/2, where one outcome has probability zero.
+
+        There the Fisher sum holds a 0 * inf limit that a pointwise finite
+        difference cannot represent.  F is constant in xi, so evaluating a
+        short distance away is exact; 0.05 keeps the second-difference
+        truncation error below 1e-5.
+        """
+        margin = 0.05
+        if abs(xi) < margin:
+            return margin
+        if xi > _HALF_PI - margin:
+            return _HALF_PI - margin
+        if xi < -_HALF_PI + margin:
+            return -_HALF_PI + margin
+        return xi
+
+    def sample(self, rng, xi, n):
+        return (rng.random(n) < math.cos(xi) ** 2).astype(float)
+
+    def ml(self, xs):
+        score = float(np.sum(xs))
+        return float(math.acos(math.sqrt(min(max(score / xs.size, 0.0), 1.0))))
+
+    def log_lik(self, xs, grid):
+        n = xs.size
+        score = float(np.sum(xs))
+        with np.errstate(divide="ignore"):
+            log_lik = np.zeros_like(grid)
+            # guard the coefficients so 0 * log(0) cannot produce NaN
+            if score > 0:
+                log_lik = log_lik + 2.0 * score * np.log(np.abs(np.cos(grid)))
+            if n - score > 0:
+                log_lik = log_lik + 2.0 * (n - score) * np.log(np.abs(np.sin(grid)))
+        return log_lik
+
+
+_FAMILIES = {
+    ModelId.CHI_SQUARED_LOG: _Chi2Log,
+    ModelId.GAUSSIAN_SHIFT: _Gauss,
+    ModelId.TRIG_TRANSLATIONAL: _Trig,
+    ModelId.BINOMIAL_TRIG_IRF: _Binom,
+}
+
+
 def make_model(model_id: ModelId | str, sigma: float = 1.0) -> ModelSpec:
     """Build the description of one of the bundled models.
 
@@ -119,14 +373,7 @@ def make_model(model_id: ModelId | str, sigma: float = 1.0) -> ModelSpec:
     mid = ModelId(model_id) if not isinstance(model_id, ModelId) else model_id
     if not sigma > 0:
         raise InputError("sigma must be strictly positive")
-    inf = math.inf
-    if mid is ModelId.CHI_SQUARED_LOG:
-        return ModelSpec(mid, (-inf, inf), (-inf, inf), sigma, analytic_fisher=1.0)
-    if mid is ModelId.GAUSSIAN_SHIFT:
-        return ModelSpec(mid, (-inf, inf), (-inf, inf), sigma, analytic_fisher=1.0 / sigma**2)
-    if mid is ModelId.TRIG_TRANSLATIONAL:
-        return ModelSpec(mid, (-_HALF_PI, _HALF_PI), (-_HALF_PI, _HALF_PI), sigma, analytic_fisher=4.0)
-    return ModelSpec(mid, (0.0, 1.0), (-_HALF_PI, _HALF_PI), sigma, analytic_fisher=4.0)
+    return ModelSpec(mid, sigma)
 
 
 def _check_xi(model: ModelSpec, xi: float):
@@ -139,57 +386,24 @@ def _check_x(model: ModelSpec, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise InputError("observations must be finite")
-    if model.discrete_x:
-        if not np.all((xs == 0.0) | (xs == 1.0)):
-            raise InputError("binomial observations must be 0 or 1")
-        return
+    if model.discrete_x and not np.all(np.isin(xs, model._family.support)):
+        raise InputError(f"{model.id.value} observations must be one of {model._family.support}")
     lo, hi = model.x_domain
     if not np.all((xs >= lo) & (xs <= hi)):
         raise InputError(f"observation outside domain [{lo!r}, {hi!r}]")
 
 
-def _log_density_unchecked(model: ModelSpec, x, xi):
-    """Vectorized log density without domain validation.
+def _line_config(family: _Family, center: float, cfg: QuadratureConfig | None) -> QuadratureConfig:
+    """Config whose truncation window covers ``family.tail`` around ``center``.
 
-    Internal evaluators (finite differences, posterior grids) probe slightly
-    outside the nominal parameter domain; the formulas below are well defined
-    there.  Values of exactly -inf mark genuine zeros of the density.
-    """
-    x = np.asarray(x, dtype=float)
-    mid = model.id
-    if mid is ModelId.CHI_SQUARED_LOG:
-        u = x - xi
-        return u - np.exp(u)
-    if mid is ModelId.GAUSSIAN_SHIFT:
-        s2 = model.sigma_param**2
-        return -0.5 * math.log(2.0 * math.pi * s2) - (x - xi) ** 2 / (2.0 * s2)
-    if mid is ModelId.TRIG_TRANSLATIONAL:
-        with np.errstate(divide="ignore"):
-            return math.log(2.0 / math.pi) + 2.0 * np.log(np.abs(np.cos(x - xi)))
-    # binomial: log cos^2(xi) for x = 1, log sin^2(xi) for x = 0
-    with np.errstate(divide="ignore"):
-        lc = 2.0 * np.log(np.abs(np.cos(xi)))
-        ls = 2.0 * np.log(np.abs(np.sin(xi)))
-    return np.where(x == 1.0, lc, ls)
-
-
-def _density_unchecked(model: ModelSpec, x, xi):
-    return np.exp(_log_density_unchecked(model, x, xi))
-
-
-def _line_config(model: ModelSpec, center: float, cfg: QuadratureConfig | None) -> QuadratureConfig:
-    """Config with the truncation window widened to cover the density.
-
-    The default cutoff assumes an integrand concentrated near the origin at
-    unit scale.  Integrals over the line models are centered at ``center``
-    and, for the Gaussian family, spread over sigma, so the window must
-    grow with both; a flat far-out integrand would otherwise slip past the
-    negligibility check at the cutoff.
+    The default cutoff assumes an integrand near the origin at unit scale; a
+    flat far-out integrand would slip past its negligibility check.  A
+    family on a finite domain gets ``cfg`` (or the default) unchanged.
     """
     base = cfg or QuadratureConfig()
-    need = abs(center) + 40.0
-    if model.id is ModelId.GAUSSIAN_SHIFT:
-        need = abs(center) + 12.0 * model.sigma_param
+    if family.tail is None:
+        return base
+    need = abs(center) + family.tail
     if need <= base.tail_cutoff:
         return base
     return dataclasses.replace(base, tail_cutoff=need)
@@ -199,24 +413,23 @@ def density(model: ModelSpec, x: float, xi: float) -> float:
     """Probability density (or probability mass, for the binomial) p(x|xi)."""
     _check_xi(model, xi)
     _check_x(model, x)
-    return float(_density_unchecked(model, np.asarray(x, dtype=float), xi))
+    return float(model._family.density(np.asarray(x, dtype=float), xi))
 
 
 def log_density(model: ModelSpec, x: float, xi: float) -> float:
     _check_xi(model, xi)
     _check_x(model, x)
-    return float(_log_density_unchecked(model, np.asarray(x, dtype=float), xi))
+    return float(model._family.log_density(np.asarray(x, dtype=float), xi))
 
 
 def normalization_check(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
     """Total probability over the observation domain; must come out 1."""
     _check_xi(model, xi)
-    if model.discrete_x:
-        return float(np.cos(xi) ** 2 + np.sin(xi) ** 2)
-    if math.isinf(model.x_domain[0]):
-        cfg = _line_config(model, xi, cfg)
-    res = integrate(lambda xs: _density_unchecked(model, xs, xi), model.x_domain, cfg)
-    return res.value
+    family = model._family
+    if family.support is not None:
+        return family.mass(xi)
+    cfg = _line_config(family, xi, cfg)
+    return integrate(lambda xs: family.density(xs, xi), model.x_domain, cfg).value
 
 
 def ml_estimate(model: ModelSpec, obs: Observations) -> float:
@@ -241,16 +454,7 @@ def ml_estimate(model: ModelSpec, obs: Observations) -> float:
     """
     xs = obs.as_array()
     _check_x(model, xs)
-    mid = model.id
-    if mid is ModelId.CHI_SQUARED_LOG:
-        # argmax of sum(x_k - xi - e^(x_k - xi)) is ln(mean(e^(x_k)))
-        return float(_logsumexp(xs) - math.log(obs.n))
-    if mid is ModelId.GAUSSIAN_SHIFT:
-        return float(np.mean(xs))
-    if mid is ModelId.BINOMIAL_TRIG_IRF:
-        score = float(np.sum(xs))
-        return float(math.acos(math.sqrt(min(max(score / obs.n, 0.0), 1.0))))
-    return _ml_trig(model, xs)
+    return model._family.ml(xs)
 
 
 def _logsumexp(xs: np.ndarray) -> float:
@@ -338,30 +542,6 @@ def _trig_refine(xs: np.ndarray, t0: float, a: float, b: float) -> float:
     return t
 
 
-def _ml_trig(model: ModelSpec, xs) -> float:
-    lo, hi = model.xi_domain
-    grid = np.linspace(lo, hi, 4001)
-    ll = _trig_log_lik(xs, grid)
-    best = np.max(ll)
-    step = grid[1] - grid[0]
-    # Local maxima whose grid value is within resolution of the global one.
-    refined = []
-    for i in np.flatnonzero(ll >= best - 1e-6):
-        a = max(grid[max(i - 1, 0)] - step, lo)
-        b = min(grid[min(i + 1, grid.size - 1)] + step, hi)
-        t = _trig_refine(xs, float(grid[i]), float(a), float(b))
-        refined.append((t, float(np.sum(_log_density_unchecked(model, xs, t)))))
-    top = max(v for _, v in refined)
-    ties = sorted(t for t, v in refined if v >= top - _TRIG_TIE_TOL)
-    winners = ties[:1] + [t for prev, t in zip(ties, ties[1:]) if t - prev > _TRIG_TIE_TOL]
-    if len(winners) > 1:
-        warnings.warn(
-            f"likelihood has {len(winners)} global maxima {winners}; returning the smallest",
-            AmbiguousMaximumWarning,
-        )
-    return winners[0]
-
-
 def _trig_inverse_cdf(us: np.ndarray, xi: float) -> np.ndarray:
     """x with CDF(x) = u for each u, by bisection on the whole array at once.
 
@@ -396,15 +576,4 @@ def sample(model: ModelSpec, xi_true: float, n: int, seed: int) -> Observations:
     _check_xi(model, xi_true)
     if n < 1:
         raise InputError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    mid = model.id
-    if mid is ModelId.CHI_SQUARED_LOG:
-        # e^(x - xi) is standard exponential under this density
-        values = xi_true + np.log(rng.standard_exponential(n))
-    elif mid is ModelId.GAUSSIAN_SHIFT:
-        values = xi_true + model.sigma_param * rng.standard_normal(n)
-    elif mid is ModelId.BINOMIAL_TRIG_IRF:
-        values = (rng.random(n) < math.cos(xi_true) ** 2).astype(float)
-    else:
-        values = _trig_inverse_cdf(rng.random(n), xi_true)
-    return Observations(values)
+    return Observations(model._family.sample(np.random.default_rng(seed), xi_true, n))

@@ -7,21 +7,9 @@ underflow.  Asymptotic grids are clipped to the parameter domain.  Sampled
 trig and binomial grids are not: their likelihood is pi-periodic in xi, so
 the grid runs on into the next period, with a halfwidth of at most pi/2.
 
-The sampled posterior costs O(N + G) time and O(G) memory beyond the
-observations (N observations, G grid points) for three models, whose
-likelihoods reduce to sufficient statistics:
-
-* chi2log: sum_k (x_k - xi - e^(x_k - xi)) is, up to a constant,
-  -N (d + e^(-d) - 1) with d = xi - (L - ln N) and L = ln sum_k e^(x_k);
-* gauss:   -N (xi - mean)^2 / (2 sigma^2), up to a constant;
-* binom:   the score form in the number of ones.
-
-The trigonometric likelihood has no such reduction and costs O(N G) time
-in the kernel ``models._trig_log_lik``: cos(x_k - xi) comes from angle
-addition over N + G sines and cosines (entries within 2^-20 of a zero are
-recomputed directly), and one log is taken per product of 16 rows of
-|cos|, in cache-sized row blocks, so memory stays O(G) beyond the
-observations.
+The sample log-likelihood on the grid comes from the family's record in
+``models``: O(N + G) time and O(G) memory beyond the N observations for
+G grid points (sufficient statistics; trig takes O(N G) time in blocks).
 
 Comparisons report
 
@@ -30,10 +18,10 @@ Comparisons report
   deviation, insensitive to normalizers),
 * the Kullback-Leibler divergence to the Gaussian over the whole grid.
 
-The trigonometric asymptotic posterior is built with its center shifted to
-zero: the parameter lives on one period, so distances are only meaningful
-once the maximum-likelihood point is moved to the middle of the interval.
-Comparisons for that model are restricted to |delta| <= pi/2.
+The asymptotic posterior of a periodic family is built with its center
+shifted to zero: the parameter lives on one period, so distances are only
+meaningful once the maximum-likelihood point is moved to the middle of the
+interval.  Comparisons for those models are restricted to |delta| <= pi/2.
 """
 
 from __future__ import annotations
@@ -43,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _carrier, h_closed_form
 from .errors import InputError
-from .models import ModelId, ModelSpec, Observations, _logsumexp, _trig_log_lik, ml_estimate
+from .models import ModelSpec, Observations, ml_estimate
 
 __all__ = [
     "PosteriorGrid",
@@ -58,8 +45,6 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 2001
 _MIN_GRID_SIZE = 201
-# Models whose likelihood is pi-periodic in xi.
-_PERIODIC = (ModelId.TRIG_TRANSLATIONAL, ModelId.BINOMIAL_TRIG_IRF)
 
 
 @dataclass(frozen=True)
@@ -103,28 +88,6 @@ def _reference_sigma(model: ModelSpec, n: int) -> float:
     return 1.0 / math.sqrt(n * model.analytic_fisher)
 
 
-def _log_likelihood(model: ModelSpec, xs: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """ln p(x_1..x_N | xi) at every grid point, up to a constant in xi."""
-    n = xs.size
-    mid = model.id
-    if mid is ModelId.CHI_SQUARED_LOG:
-        d = grid - (_logsumexp(xs) - math.log(n))
-        return -n * (d + np.expm1(-d))
-    if mid is ModelId.GAUSSIAN_SHIFT:
-        return -n * (grid - np.mean(xs)) ** 2 / (2.0 * model.sigma_param**2)
-    if mid is ModelId.BINOMIAL_TRIG_IRF:
-        score = float(np.sum(xs))
-        with np.errstate(divide="ignore"):
-            log_lik = np.zeros_like(grid)
-            # guard the coefficients so 0 * log(0) cannot produce NaN
-            if score > 0:
-                log_lik = log_lik + 2.0 * score * np.log(np.abs(np.cos(grid)))
-            if n - score > 0:
-                log_lik = log_lik + 2.0 * (n - score) * np.log(np.abs(np.sin(grid)))
-        return log_lik
-    return _trig_log_lik(xs, grid)
-
-
 def posterior_from_observations(
     model: ModelSpec,
     obs: Observations,
@@ -148,10 +111,11 @@ def posterior_from_observations(
     center = ml_estimate(model, obs) if xi_ml is None else float(xi_ml)
     halfwidth = 8.0 * _reference_sigma(model, obs.n)
     domain = model.xi_domain
-    if model.id in _PERIODIC:
-        halfwidth, domain = min(halfwidth, math.pi / 2.0), (-math.inf, math.inf)
+    family = model._family
+    if family.period is not None:
+        halfwidth, domain = min(halfwidth, family.period / 2.0), (-math.inf, math.inf)
     grid = _make_grid(center, halfwidth, domain, grid_size)
-    return PosteriorGrid(grid, _normalize(grid, _log_likelihood(model, obs.as_array(), grid)), True)
+    return PosteriorGrid(grid, _normalize(grid, family.log_lik(obs.as_array(), grid)), True)
 
 
 def posterior_asymptotic(
@@ -167,11 +131,12 @@ def posterior_asymptotic(
     _check_grid_size(grid_size)
     if n < 1:
         raise InputError("sample size must be at least 1")
-    center = 0.0 if model.id in _PERIODIC else float(xi_ml)
+    family = model._family
+    center = 0.0 if family.period is not None else float(xi_ml)
     grid = _make_grid(center, 8.0 * _reference_sigma(model, n), model.xi_domain, grid_size)
     deltas = center - grid
-    h_model = _carrier(model)  # the binomial borrows its carrier's H
-    h_values = np.array([h_closed_form(h_model, d) for d in deltas])
+    h = family.carrier.h  # the binomial borrows its carrier's H
+    h_values = np.array([h(d) for d in deltas])
     return PosteriorGrid(grid, _normalize(grid, n * h_values), True)
 
 

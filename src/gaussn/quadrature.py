@@ -257,7 +257,8 @@ def _fit_log_poly(f, s0, sides, eps):
     sides are averaged so the odd part of the smooth factor cancels.
     Returns (coeffs, mismatch) where mismatch is the fit residual at the
     held-out distance 16 epsilon.  All probes of all sides take one
-    integrand call.
+    integrand call.  A probe value that is not finite, the held-out one
+    included (it enters the error estimate), raises QuadratureError.
     """
     dists = np.array([2.0, 4.0, 8.0]) * eps
     logs = np.log(dists)
@@ -269,9 +270,9 @@ def _fit_log_poly(f, s0, sides, eps):
     coeff_sets = []
     mismatches = []
     for row in ys.reshape(len(sides), 4):
-        fit, y_chk = row[:3], float(row[3])
-        if not np.all(np.isfinite(fit)):
+        if not np.all(np.isfinite(row)):
             raise QuadratureError(f"integrand not finite while probing singularity at {s0!r}")
+        fit, y_chk = row[:3], float(row[3])
         coeffs = np.linalg.solve(vander, fit)
         mismatches.append(abs(y_chk - (coeffs[0] * lc**2 + coeffs[1] * lc + coeffs[2])))
         coeff_sets.append(coeffs)

@@ -105,3 +105,11 @@ def test_fisher_forms_bit_identical(name):
     grad, curv = FROZEN_FISHER[name]
     assert repr(fisher_gradient_form(model, 0.3)) == repr(grad)
     assert repr(fisher_curvature_form(model, 0.3)) == repr(curv)
+
+
+@pytest.mark.parametrize("name", ["chi2log", "trig"])
+@pytest.mark.parametrize("form", [fisher_gradient_form, fisher_curvature_form])
+def test_sigma_does_not_reach_non_gaussian_models(name, form):
+    # sigma is the Gaussian family's length scale; it must not loosen the
+    # quadrature tolerance (or change anything else) for the other models.
+    assert repr(form(make_model(name, sigma=50.0), 0.3)) == repr(form(make_model(name), 0.3))

@@ -297,3 +297,13 @@ def test_wrong_shape_at_the_probes_raises_input_error():
 
     with pytest.raises(InputError, match="integrand must map"):
         integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
+
+
+@pytest.mark.parametrize("point", [16.0 * _EPS_SING, -16.0 * _EPS_SING])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_held_out_probe_raises(point, value):
+    # The held-out probe at s0 +- 16 eps feeds the error estimate; a bad
+    # value there must raise, not turn the estimate into inf or NaN.
+    f = _poisoned(lambda x: np.log(np.abs(x)), [point], [value])
+    with pytest.raises(QuadratureError, match="probing singularity at 0.0"):
+        integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])

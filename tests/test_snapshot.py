@@ -1,0 +1,61 @@
+"""Golden CLI outputs: fixed commands whose stdout must not change by a byte.
+
+``tests/data/cli_snapshot.json`` maps each command line below to the exact
+stdout it printed when the snapshot was recorded.  A change that means to
+alter one of these outputs re-records that entry and says why.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from gaussn.cli import main
+
+SNAPSHOT = Path(__file__).parent / "data" / "cli_snapshot.json"
+MODELS = ("chi2log", "gauss", "trig", "binom")
+TABLE_N = "3,4,5,10,20,30,40,50,75,100,150,155,160,165"
+
+
+def _commands():
+    cmds = []
+    for model in MODELS:
+        for mode in ("paper_rounding", "strict"):
+            for threshold in ("0.1", "0.01"):
+                cmds.append(("criterion", "--model", model, "--mode", mode, "--threshold", threshold))
+    for sigma in ("0.5", "2"):
+        cmds.append(("criterion", "--model", "gauss", "--sigma", sigma))
+    cmds.append(("table", "--model", "chi2log", "--n", TABLE_N))
+    cmds.append(("table", "--model", "trig", "--n", TABLE_N, "--format", "json"))
+    for model in MODELS:
+        for xi in ("0", "0.3", "1.1"):
+            cmds.append(("fisher", "--model", model, "--xi", xi))
+    for sigma in ("0.01", "2", "50"):
+        cmds.append(("fisher", "--model", "gauss", "--sigma", sigma, "--xi", "0.3"))
+    cmds.append(("verify", "--format", "json"))
+    for model in MODELS:
+        for n in ("1", "8", "160", "5000"):
+            cmds.append(("posterior", "--model", model, "--xi-true", "0.3", "--n", n, "--seed", "7"))
+    for model in ("trig", "binom"):
+        for n in ("1", "8", "160", "5000"):
+            cmds.append(("posterior", "--model", model, "--xi-true", "1.55", "--n", n, "--seed", "7"))
+    return [" ".join(c) for c in cmds]
+
+
+COMMANDS = _commands()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(SNAPSHOT.read_text())
+
+
+def test_snapshot_covers_exactly_these_commands(golden):
+    assert sorted(golden) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_output_is_byte_identical(command, golden, capsys, monkeypatch):
+    monkeypatch.delenv("GAUSSN_QUAD_TOL", raising=False)
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == golden[command]
