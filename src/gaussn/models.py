@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, QuadratureError
 from .quadrature import QuadratureConfig, integrate
 
 __all__ = [
@@ -58,6 +59,11 @@ _HALF_PI = math.pi / 2.0
 # (2**16 doubles, 512 kB per temporary): a block stays in cache, and memory
 # stays bounded in N.
 _BLOCK_ELEMENTS = 1 << 16
+# Entries per pass where the trig kernel or its bounds cover a few grid
+# points (128 kB per temporary; a pass over fewer points takes more rows).
+# Buffers this small are reused by the allocator, so peak RSS stays as with
+# the whole grid, whose kernel keeps its _BLOCK_ELEMENTS blocks.
+_PASS_ELEMENTS = 1 << 14
 # Rows of |cos| multiplied before one log is taken.  Each factor is at least
 # about 6e-17, the cosine of the double nearest pi/2 (entries below
 # _COS_FLOOR are recomputed directly), so a product of 16 stays above 1e-261.
@@ -68,6 +74,18 @@ _LOG_GROUP = 16
 _COS_FLOOR = 2.0**-20
 # Log-likelihood gap, and distance, below which two trig maxima are one.
 _TRIG_TIE_TOL = 1e-9
+# Grid points of the trig ML scan whose kernel value is within this of the
+# best one are refined as candidates.
+_TRIG_CANDIDATE_GAP = 1e-6
+# Grid steps per block at each level of the trig ML scan's branch and bound,
+# coarse to fine; each width divides the one before it, and blocks stay
+# narrower than pi.
+_SCAN_LEVELS = (256, 32, 4)
+# Bound on the absolute error of any |cos(x - xi)| formed by angle addition
+# from numpy's sines and cosines (two products of rounded unit-size factors
+# and a sum, about 2e-15 at 4 ulp per sine or cosine), or of an entry the
+# kernel recomputes as |cos(x - xi)| (about 1.2e-15).
+_TRIG_ROUNDING = 4e-15
 
 
 class ModelId(Enum):
@@ -104,31 +122,55 @@ class ModelSpec:
         return self._family.support is not None
 
 
-@dataclass(frozen=True)
 class Observations:
-    """Observed values: a tuple of floats, and one read-only array of them.
+    """Observed values, held as one read-only float array shared by every reader.
 
-    ``values`` may be given as any sequence of numbers, a float array
-    included; the array is built once here and shared by every reader.
+    Built from any one-dimensional sequence of numbers, a float array
+    included.  ``values``, the same numbers as a tuple of Python floats, is
+    built on first access; the length, equality and hash read the array and
+    keep the tuple's semantics (0.0 equals -0.0 and hashes alike; a NaN
+    makes two instances unequal).  Instances are immutable.
     """
 
-    values: tuple[float, ...]
-    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("_array", "_values")
 
-    def __post_init__(self):
-        array = np.array(self.values, dtype=float)
-        if array.size < 1:
-            raise InputError("Observations needs at least one value")
+    def __init__(self, values):
+        array = np.array(values, dtype=float)
+        if array.ndim != 1 or array.size < 1:
+            raise InputError("Observations needs a one-dimensional sequence of at least one value")
         array.flags.writeable = False
-        object.__setattr__(self, "values", tuple(array.tolist()))
         object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "_values", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Observations is immutable; cannot set {name!r}")
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self._array.tolist()))
+        return self._values
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self._array.size
 
     def as_array(self) -> np.ndarray:
         return self._array
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or bool(np.array_equal(self._array, other._array))
+
+    def __hash__(self):
+        return hash((self._array + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+
+    def __repr__(self):
+        return f"Observations(values={self.values!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return Observations, (self._array,)
 
 
 class _Family:
@@ -188,18 +230,43 @@ class _Chi2Log(_Family):
         d = grid - self.ml(xs)
         return -xs.size * (d + np.expm1(-d))
 
+    # e^delta, and with it H, its derivatives and the log ratio, overflows a
+    # double beyond this shift.
+    max_shift = math.log(sys.float_info.max)
+
     def h(self, delta):
-        return float(delta + 1.0 - math.exp(delta))
+        try:
+            return float(delta + 1.0 - math.exp(delta))
+        except OverflowError:
+            raise self._overflow("H", delta) from None
 
     def h_derivative(self, order, delta):
-        return float(1.0 - math.exp(delta)) if order == 1 else float(-math.exp(delta))
+        try:
+            return float(1.0 - math.exp(delta)) if order == 1 else float(-math.exp(delta))
+        except OverflowError:
+            raise self._overflow(f"H^({order})", delta) from None
 
     def h_max(self, order, w):
-        return float(math.exp(w)) if order == 3 else None  # H''' = -e^delta is monotone
+        try:
+            return float(math.exp(w)) if order == 3 else None  # H''' = -e^delta is monotone
+        except OverflowError:
+            raise self._overflow("max |H'''| over the halfwidth", w) from None
+
+    def _overflow(self, what, delta):
+        return InputError(
+            f"chi2log {what} at {float(delta)!r} overflows: "
+            f"e^delta is finite only for delta <= {self.max_shift!r}"
+        )
 
     def log_ratio(self, us, delta):
         with np.errstate(over="ignore"):
-            return delta - np.exp(us) * np.expm1(delta)
+            growth = np.expm1(delta)
+            if growth == math.inf:
+                raise QuadratureError(
+                    f"expm1({delta!r}) overflowed: the chi2log log ratio is finite "
+                    f"only for delta <= {self.max_shift!r}"
+                )
+            return delta - np.exp(us) * growth
 
 
 class _Gauss(_Family):
@@ -255,14 +322,23 @@ class _Trig(_Family):
         return _trig_inverse_cdf(rng.random(n), xi)
 
     def ml(self, xs):
+        """Refine every point of a 4001-point grid within 1e-6 of its best value.
+
+        The grid values are those of the kernel ``_trig_log_lik`` over the
+        whole grid, but only the columns that can come within 1e-6 of the
+        best are computed (``_trig_scan``), bit for bit as in the whole
+        scan; every other column is shown to lie below that line by an
+        upper bound.  So the candidates, and the estimate, are the whole
+        scan's.
+        """
         lo, hi = self.xi_domain
         grid = np.linspace(lo, hi, 4001)
-        ll = _trig_log_lik(xs, grid)
+        columns, ll = _trig_scan(xs, grid)
         best = np.max(ll)
         step = grid[1] - grid[0]
         # Local maxima whose grid value is within resolution of the global one.
         refined = []
-        for i in np.flatnonzero(ll >= best - 1e-6):
+        for i in columns[ll >= best - _TRIG_CANDIDATE_GAP]:
             a = max(grid[max(i - 1, 0)] - step, lo)
             b = min(grid[min(i + 1, grid.size - 1)] + step, hi)
             t = _trig_refine(xs, float(grid[i]), float(a), float(b))
@@ -440,13 +516,21 @@ def ml_estimate(model: ModelSpec, obs: Observations) -> float:
     returns the nonnegative root; cos^2 is even, so its mirror image is an
     equally good estimate.
 
-    The trigonometric model scans the log-likelihood on a 4001-point grid
-    over one period with the kernel ``_trig_log_lik`` (angle addition, one
+    The trigonometric model takes the log-likelihood on a 4001-point grid
+    over one period from the kernel ``_trig_log_lik`` (angle addition, one
     log per 16 observations; within about 1e-11 of the exact sum at
     N = 500), then refines every grid point within 1e-6 of the best by
     safeguarded Newton on the analytic score 2 sum tan(x_k - xi): the
     log-likelihood is concave between its poles xi = x_k +- pi/2, so each
-    refinement has one maximum to find.  Refined maxima closer than 1e-9
+    refinement has one maximum to find.  The kernel runs only on the grid
+    points that upper bounds cannot place more than 1e-6 below a proven
+    lower bound on the best (about 90 of the 4001 at N of 8 and more).
+    A bound over a block of the grid takes, per observation, the largest
+    |cos(x_k - xi)| over the block, which is 1 where x_k lies in the block
+    and otherwise sits at an end, and is widened by the rounding of the
+    kernel and of its sums.  The points the kernel evaluates get the whole
+    grid's bits, so the candidates, and the estimate, are those of the
+    whole 4001-point scan.  Refined maxima closer than 1e-9
     to each other are one maximum.  When several distinct global maxima
     tie (possible because the density is pi-periodic in the difference),
     the smallest maximizer is returned and an
@@ -479,29 +563,168 @@ def _trig_log_lik(xs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     _COS_FLOOR, where that form has lost its relative precision, are
     recomputed as |cos(x_k - xi)|, so no entry is zero.  The log is taken
     once per _LOG_GROUP rows, of the product of their |cos|; left-over rows
-    take one log each.  Rows are processed in blocks of about
-    _BLOCK_ELEMENTS entries, a multiple of _LOG_GROUP rows each, written
-    into two buffers allocated once (a fresh allocation per block would
-    page-fault its memory every time).
+    take one log each.  Rows are summed in blocks of about _BLOCK_ELEMENTS
+    entries, a multiple of _LOG_GROUP rows each (``_kernel_rows``).
     """
-    cos_x, sin_x = np.cos(xs)[:, None], np.sin(xs)[:, None]
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-    rows = max(1, _BLOCK_ELEMENTS // (grid.size * _LOG_GROUP)) * _LOG_GROUP
-    buffer = np.empty((min(rows, xs.size), grid.size))
+    return _trig_columns(
+        xs, np.cos(xs), np.sin(xs), grid, np.cos(grid), np.sin(grid), _kernel_rows(grid.size)
+    )
+
+
+def _kernel_rows(columns: int) -> int:
+    """Rows per block of the trig kernel on a grid of ``columns`` points."""
+    return max(1, _BLOCK_ELEMENTS // (columns * _LOG_GROUP)) * _LOG_GROUP
+
+
+def _trig_columns(xs, cos_x, sin_x, grid, cos_g, sin_g, rows: int) -> np.ndarray:
+    """The trig kernel at the points ``grid``, summed in blocks of ``rows`` rows.
+
+    A block adds the logs of its _LOG_GROUP-row products in order (then,
+    in the last block, the logs of its left-over rows), and the total adds
+    the block sums in order.  A column's value therefore depends only on
+    its own entries and on ``rows``: any two or more columns of a grid,
+    evaluated with the rows of the whole grid, get the whole scan's bits.
+    (With one column numpy would sum eight or more left-over rows along
+    contiguous memory, pairwise, which rounds in another order.)  One pass
+    fills one block, or several up to about _PASS_ELEMENTS entries when the
+    columns are few, into two buffers allocated once (a fresh allocation
+    per pass would page-fault its memory every time).
+    """
+    n, g = xs.size, grid.size
+    per_pass = max(1, _PASS_ELEMENTS // (rows * g)) * rows
+    buffer = np.empty((min(per_pass, n), g))
     scratch = np.empty_like(buffer)
-    total = np.zeros(grid.size)
-    for start in range(0, xs.size, rows):
-        block = np.multiply(cos_x[start : start + rows], cos_g, out=buffer[: xs.size - start])
-        block += np.multiply(sin_x[start : start + rows], sin_g, out=scratch[: block.shape[0]])
+    total = np.zeros(g)
+    for start in range(0, n, per_pass):
+        stop = min(start + per_pass, n)
+        block = np.multiply(cos_x[start:stop, None], cos_g, out=buffer[: stop - start])
+        block += np.multiply(sin_x[start:stop, None], sin_g, out=scratch[: stop - start])
         np.abs(block, out=block)
         if np.min(block) < _COS_FLOOR:
             i, j = np.nonzero(block < _COS_FLOOR)
             block[i, j] = np.abs(np.cos(xs[start + i] - grid[j]))
-        whole = block.shape[0] - block.shape[0] % _LOG_GROUP
-        groups = block[:whole].reshape(-1, _LOG_GROUP, grid.size)
-        total += np.sum(np.log(np.prod(groups, axis=1)), axis=0)
-        total += np.sum(np.log(block[whole:]), axis=0)
-    return 2.0 * total + xs.size * math.log(2.0 / math.pi)
+        full = block.shape[0] // rows * rows
+        groups = block[:full].reshape(-1, rows // _LOG_GROUP, _LOG_GROUP, g)
+        for block_sum in np.sum(np.log(np.prod(groups, axis=2)), axis=1):
+            total += block_sum
+        if full < block.shape[0]:  # the last block, shorter than ``rows``
+            whole = block.shape[0] - block.shape[0] % _LOG_GROUP
+            groups = block[full:whole].reshape(-1, _LOG_GROUP, g)
+            total += np.sum(np.log(np.prod(groups, axis=1)), axis=0)
+            total += np.sum(np.log(block[whole:]), axis=0)
+    return 2.0 * total + n * math.log(2.0 / math.pi)
+
+
+def _trig_scan(xs: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``grid`` that may hold trig ML candidates, and their kernel values.
+
+    Returns (columns, values), columns ascending.  ``values`` equal
+    ``_trig_log_lik(xs, grid)[columns]`` bit for bit, and every other
+    column's kernel value is below max(values) - _TRIG_CANDIDATE_GAP.
+
+    Branch and bound over blocks of grid steps (``_trig_bounds``).  The
+    line is the best lower bound on the kernel found so far: at the nine
+    points around the circular-mean estimate arg(sum e^(2ix))/2, then at
+    the edges of each level's blocks.  Blocks of _SCAN_LEVELS[0] steps
+    whose upper bound falls below line - _TRIG_CANDIDATE_GAP are dropped,
+    the others are split into the next width and bounded again, and the
+    kernel evaluates the columns of the finest blocks left (whole blocks,
+    so at least two columns).  A dropped column cannot be a candidate: its
+    value is at most its block's upper bound, and the line is at most the
+    best value.
+    """
+    cos_x, sin_x = np.cos(xs), np.sin(xs)
+    cos_g, sin_g = np.cos(grid), np.sin(grid)
+    last = grid.size - 1
+    # arg(sum e^(2ix)) / 2, from sin 2x = 2 sin x cos x and cos 2x = cos^2 x - sin^2 x
+    centre = 0.5 * math.atan2(2.0 * np.sum(sin_x * cos_x), np.sum((cos_x - sin_x) * (cos_x + sin_x)))
+    nearest = round((centre - grid[0]) / (grid[1] - grid[0]))
+    near = np.arange(max(nearest - 4, 0), min(nearest + 4, last) + 1)
+    line = np.max(_trig_bounds(xs, cos_x, sin_x, grid[near], cos_g[near], sin_g[near])[0])
+    lo = np.arange(0, last, _SCAN_LEVELS[0])
+    for width, finer in zip(_SCAN_LEVELS, _SCAN_LEVELS[1:] + (None,)):
+        # Blocks [lo, lo + width] are the spans between consecutive edges;
+        # the spans between blocks are bounded along with them and dropped.
+        edges = _grid_points(grid.size, lo, np.minimum(lo + width, last))
+        below, above = _trig_bounds(xs, cos_x, sin_x, grid[edges], cos_g[edges], sin_g[edges])
+        line = max(line, np.max(below))
+        lo = lo[above[np.searchsorted(edges, lo)] >= line - _TRIG_CANDIDATE_GAP]
+        if finer is not None:
+            lo = (lo[:, None] + np.arange(0, width, finer)).ravel()
+            lo = lo[lo < last]
+    leaves = np.minimum(lo[:, None] + np.arange(_SCAN_LEVELS[-1] + 1), last)
+    columns = _grid_points(grid.size, leaves)
+    rows = _kernel_rows(grid.size)
+    values = _trig_columns(xs, cos_x, sin_x, grid[columns], cos_g[columns], sin_g[columns], rows)
+    return columns, values
+
+
+def _grid_points(size: int, *indices: np.ndarray) -> np.ndarray:
+    """The distinct grid indices among ``indices``, ascending.
+
+    (np.unique would do, but its first call in a process adds about 1 MB
+    of resident memory.)
+    """
+    hit = np.zeros(size, dtype=bool)
+    for i in indices:
+        hit[i] = True
+    return np.flatnonzero(hit)
+
+
+def _trig_bounds(xs, cos_x, sin_x, points, cos_p, sin_p) -> tuple[np.ndarray, np.ndarray]:
+    """(Lower bounds on the trig kernel at points, upper bounds over the spans between them).
+
+    ``points`` are ascending grid values in [-pi/2, pi/2]; the
+    observations ``xs`` and the points come with their cosines and sines.
+    Both bounds are sums sum_k ln((2/pi) f_k^2) over factors f_k that
+    bound the kernel's entries |cos(x_k - xi)|.  Each entry, and each
+    |cos(x_k - p)| formed here by angle addition, is within
+    _TRIG_ROUNDING of the exact value.
+
+    Below at a point: f_k = |cos(x_k - p)| - 2 _TRIG_ROUNDING.  Above over
+    a span: |cos(x_k - xi)| peaks at xi = x_k + j pi and is monotone in
+    between, so over a span without a peak inside it is largest at an end.
+    Only xi = x_k can lie inside a span; x_k +- pi lies beyond +-pi/2, or on
+    it.  So f_k = 1 where x_k lies inside the span, and otherwise the
+    larger |cos(x_k - p)| at the ends, plus 2 _TRIG_ROUNDING (which also
+    covers a peak on an end, where |cos| is 1 to rounding).
+
+    Each bound is moved away from the kernel by the rounding of the two
+    sums compared: the kernel adds about N/16 rounded logs of products in
+    order, the bound sums N rounded logs pairwise per pass and adds the
+    passes in order, so each is within (N/16 + 16) 2^-53 (|S| + N) of its
+    exact value S, the N covering the products, the logs and terms just
+    above 0.  The kernel's exact sum lies beyond the bound's exact sum B on
+    the side of 0 (both are at most about 0), so the kernel's error, a
+    fraction of its own magnitude, is at most that fraction of |B|.  The
+    margin is twice the sum of both errors.  Observations are taken in
+    passes of about _PASS_ELEMENTS entries (at most _BLOCK_ELEMENTS),
+    written into buffers allocated once.
+    """
+    n, count = xs.size, points.size
+    rows = max(1, _PASS_ELEMENTS // count)
+    cos_p, sin_p = cos_p[:, None], sin_p[:, None]
+    buffers = np.empty((2, count * min(rows, n)))
+    lower = upper = 0.0
+    with np.errstate(divide="ignore"):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            cos, scratch = (b[: count * (stop - start)].reshape(count, -1) for b in buffers)
+            cos = np.multiply(cos_p, cos_x[start:stop], out=cos)
+            cos += np.multiply(sin_p, sin_x[start:stop], out=scratch)
+            np.abs(cos, out=cos)
+            peak = np.maximum(cos[:-1], cos[1:], out=scratch[:-1])
+            # the span holding x: points[span] < x <= points[span + 1]
+            span = np.searchsorted(points, xs[start:stop]) - 1
+            inside = np.flatnonzero((span >= 0) & (span < count - 1))
+            peak[span[inside], inside] = 1.0
+            peak += 2.0 * _TRIG_ROUNDING
+            upper = upper + np.sum(np.log(peak, out=peak), axis=1)
+            cos -= 2.0 * _TRIG_ROUNDING
+            lower = lower + np.sum(np.log(np.maximum(cos, 0.0, out=cos), out=cos), axis=1)
+    sums = 2.0 * np.concatenate([lower, upper]) + n * math.log(2.0 / math.pi)
+    margin = 4.0 * np.finfo(float).eps * (n / _LOG_GROUP + _LOG_GROUP) * (np.abs(sums) + n)
+    return sums[:count] - margin[:count], sums[count:] + margin[count:]
 
 
 def _trig_refine(xs: np.ndarray, t0: float, a: float, b: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gaussn import (
     InputError,
+    QuadratureError,
     UnsupportedModelError,
     h_closed_form,
     h_derivative_analytic,
@@ -181,6 +183,36 @@ def test_max_abs_derivative(chi2, gauss, trig, binom):
     assert scan == pytest.approx(max_abs_derivative(chi2, 3, w160), rel=1e-9)
     # trig second derivative: |-4 cos| peaks at the window edge past pi/4
     assert max_abs_derivative(trig, 2, 0.3) == pytest.approx(4.0 * math.cos(0.0), rel=1e-6)
+
+
+CHI2LOG_SHIFT_LIMIT = math.log(sys.float_info.max)  # 709.78...: e^delta overflows beyond it
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda m: h_closed_form(m, 800.0),
+        lambda m: h_derivative_analytic(m, 1, 800.0),
+        lambda m: h_derivative_analytic(m, 3, 710.0),
+        lambda m: max_abs_derivative(m, 3, 800.0),
+        lambda m: max_abs_derivative(m, 2, 800.0),  # the scan of the analytic derivative
+    ),
+)
+def test_chi2log_closed_forms_name_their_overflow_limit(chi2, call):
+    with pytest.raises(InputError, match=f"delta <= {CHI2LOG_SHIFT_LIMIT!r}"):
+        call(chi2)
+
+
+def test_chi2log_closed_forms_hold_up_to_the_limit(chi2):
+    below = 709.78
+    assert h_closed_form(chi2, below) == below + 1.0 - math.exp(below)
+    assert max_abs_derivative(chi2, 3, below) == math.exp(below)
+    assert h_closed_form(chi2, -800.0) == -799.0  # e^delta underflows harmlessly
+
+
+def test_chi2log_quadrature_h_blames_the_overflow(chi2):
+    with pytest.raises(QuadratureError, match=r"expm1\(800\.0\) overflowed"):
+        h_functional(chi2, 800.0)
 
 
 def test_unsupported_operations(binom, trig):

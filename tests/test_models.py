@@ -1,4 +1,6 @@
 import math
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -256,6 +258,39 @@ def test_observations_hold_one_read_only_array(trig):
     assert Observations(obs.values) == obs
     assert Observations(list(obs.values)) == obs
     assert "_array" not in repr(Observations((1.0, 2.0)))
+
+
+def test_observations_values_are_built_on_first_access(trig):
+    tracemalloc.start()
+    try:
+        obs = sample(trig, 0.3, 10**6, 5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 12e6  # the 8 MB array; the tuple of floats would add 32 MB
+    twin = Observations(obs.as_array())
+    assert obs == twin and hash(obs) == hash(twin) and obs.n == 10**6
+    assert obs._values is None and twin._values is None
+    values = obs.values
+    assert type(values) is tuple and values is obs.values
+    assert all(type(v) is float for v in values[:100])
+
+
+def test_observations_keep_tuple_equality_and_hashing():
+    assert Observations((0.0, 1.5)) == Observations((-0.0, 1.5))
+    assert hash(Observations((0.0, 1.5))) == hash(Observations((-0.0, 1.5)))
+    assert Observations((1.0, 2.0)) == Observations([1, 2])
+    assert Observations((1.0, 2.0)) != Observations((1.0, 2.0, 3.0))
+    assert Observations((1.0, 2.0)) != (1.0, 2.0)
+    nan = Observations((math.nan,))
+    assert nan == nan and nan != Observations((math.nan,))
+    assert len({Observations((0.5,)), Observations([0.5]), Observations((0.25,))}) == 2
+    assert repr(Observations((1.0, 2.0))) == "Observations(values=(1.0, 2.0))"
+    with pytest.raises(AttributeError):
+        Observations((1.0,)).values = (2.0,)
+    assert pickle.loads(pickle.dumps(nan)).as_array().tobytes() == nan.as_array().tobytes()
+    with pytest.raises(InputError):
+        Observations([[1.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------

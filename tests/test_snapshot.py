@@ -39,6 +39,10 @@ def _commands():
     for model in ("trig", "binom"):
         for n in ("1", "8", "160", "5000"):
             cmds.append(("posterior", "--model", model, "--xi-true", "1.55", "--n", n, "--seed", "7"))
+    # The trig maximum-likelihood scan near a period edge and at large N.
+    for xi in ("-1.2", "1.5707"):
+        for n in ("2", "17", "20000"):
+            cmds.append(("posterior", "--model", "trig", "--xi-true", xi, "--n", n, "--seed", "7"))
     return [" ".join(c) for c in cmds]
 
 
