@@ -31,8 +31,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import InputError, UnsupportedModelError
-from .models import ModelSpec, _line_config
-from .quadrature import QuadratureConfig, integrate, integrate_with_log_singularity
+from .models import ModelSpec
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "HEvaluation",
@@ -72,19 +72,16 @@ def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = 
             # a non-finite ratio against positive weight must surface
             return np.where(p0 > 0.0, p0 * family.log_ratio(us, delta), 0.0)
 
-    if family.zeros is not None:
-        res = integrate_with_log_singularity(integrand, family.x_domain, family.zeros(-delta), cfg)
-    else:
+    points = None if family.zeros is None else family.zeros(-delta)
+    if points is None:
         # For small shifts H ~ -F delta^2 / 2 sits far below the default
         # absolute tolerance; tighten it so the nonpositivity theorem
         # survives the quadrature (the integrand scale shrinks with delta,
         # so the tighter target stays reachable).
-        base = _line_config(family, 0.0, cfg)  # widen for wide Gaussians
+        cfg = cfg or QuadratureConfig()
         predicted = 0.5 * family.fisher * delta * delta
-        abs_eff = min(base.abs_tol, max(1e-3 * predicted, 1e-17))
-        if abs_eff < base.abs_tol:
-            base = dataclasses.replace(base, abs_tol=abs_eff)
-        res = integrate(integrand, family.x_domain, base)
+        cfg = dataclasses.replace(cfg, abs_tol=min(cfg.abs_tol, max(1e-3 * predicted, 1e-17)))
+    res = family.over_x(integrand, 0.0, cfg, points)
     return HEvaluation(delta, res.value, res.error_estimate, "quadrature")
 
 

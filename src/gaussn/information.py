@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import ModelSpec, _check_xi, _line_config
-from .quadrature import QuadratureConfig, integrate, integrate_with_log_singularity
+from .models import ModelSpec, _check_xi
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "FisherReport",
@@ -51,7 +51,8 @@ _GRAD_TOL_FLOOR = 1e-9
 _CURV_TOL_FLOOR = 5e-8
 
 
-def _floored(family, cfg: QuadratureConfig, floor: float) -> QuadratureConfig:
+def _floored(family, cfg: QuadratureConfig | None, floor: float) -> QuadratureConfig:
+    cfg = cfg or QuadratureConfig()
     f = family.fisher
     # Tighten for small results (wide Gaussians, F << abs_tol), but never
     # below the stencil noise, which grows with the step scale.
@@ -96,18 +97,13 @@ def fisher_gradient_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | No
     # The base steps assume unit length scale; the Gaussian family's scale
     # is sigma, and a fixed step drowns in roundoff once sigma is large.
     h = _GRAD_STEP * max(1.0, family.scale)
-    if family.support is not None:
-        xi = family.nudge(xi)
-        xs = np.array(family.support)
-        p = family.density(xs, xi)
-        return float(np.sum(p * _score_fd(family, xs, xi, p, h) ** 2))
+    xi = family.nudge(xi)
 
     def integrand(xs):
         p = family.density(xs, xi)
         return p * _score_fd(family, xs, xi, p, h) ** 2
 
-    cfg = _floored(family, _line_config(family, xi, cfg), _GRAD_TOL_FLOOR)
-    return integrate(integrand, model.x_domain, cfg).value
+    return family.over_x(integrand, xi, _floored(family, cfg, _GRAD_TOL_FLOOR)).value
 
 
 def _curvature_stencil(family, xs, xi: float, ld, h: float):
@@ -120,23 +116,18 @@ def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | N
     _check_xi(model, xi)
     family = model._family
     h = _CURV_STEP * max(1.0, family.scale)
-    if family.support is not None:
-        xi = family.nudge(xi)
-        xs = np.array(family.support)
-        ld = family.log_density(xs, xi)
-        return float(-np.sum(np.exp(ld) * _curvature_stencil(family, xs, xi, ld, h)))
+    xi = family.nudge(xi)
 
     def integrand(xs):
         ld = family.log_density(xs, xi)
         return np.exp(ld) * _curvature_stencil(family, xs, xi, ld, h)
 
-    cfg = _floored(family, _line_config(family, xi, cfg), _CURV_TOL_FLOOR)
+    # The stencil arms ln p(x | xi -+ h) diverge at h-shifted images of the
+    # density zeros; the zeros themselves are harmless but sharp.
+    points = None
     if family.zeros is not None:
-        # The stencil arms ln p(x | xi -+ h) diverge at h-shifted images of
-        # the density zeros; the zeros themselves are harmless but sharp.
         points = [s for z in family.zeros(xi) for s in (z - h, z, z + h)]
-        return -integrate_with_log_singularity(integrand, model.x_domain, points, cfg).value
-    return -integrate(integrand, model.x_domain, cfg).value
+    return -family.over_x(integrand, xi, _floored(family, cfg, _CURV_TOL_FLOOR), points).value
 
 
 def fisher_report(

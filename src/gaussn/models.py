@@ -23,7 +23,9 @@ length scale (sigma for gauss, 1 otherwise), a line family's tail and the
 probe span; the discrete support (binom) and the period (trig, binom); the
 carrier whose H it uses (binom -> trig); and, on carriers, the closed H,
 its derivatives and closed maxima, the stable log ratio and the density
-zeros where the H and curvature integrands are singular (trig).  All
+zeros where the H and curvature integrands are singular (trig).  Its
+``over_x`` is every integral over the observations (normalization, both
+Fisher forms, H), and the only caller of the integrators.  All
 operations are pure; sampling is deterministic given the seed.
 """
 
@@ -39,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, QuadratureError
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import IntegrationResult, QuadratureConfig, integrate, integrate_with_log_singularity
 
 __all__ = [
     "ModelId",
@@ -201,6 +203,23 @@ class _Family:
 
     def density(self, x, xi):
         return np.exp(self.log_density(x, xi))
+
+    def nudge(self, xi):  # where to evaluate the Fisher forms in place of xi
+        return xi
+
+    def over_x(self, f, centre: float, cfg: QuadratureConfig | None = None, log_points=None):
+        """The integral of ``f`` (array of x to values) over the observations.
+
+        A discrete family sums over its support (error estimate 0);
+        ``log_points``, the x where ``f`` diverges logarithmically, are
+        excised and restored; a line family truncates at ``tail`` about
+        ``centre``.
+        """
+        if self.support is not None:
+            return IntegrationResult(float(np.sum(f(np.array(self.support)))), 0.0, 0)
+        if log_points is not None:
+            return integrate_with_log_singularity(f, self.x_domain, log_points, cfg)
+        return integrate(f, self.x_domain, _line_config(self, centre, cfg))
 
     def check_shift(self, delta: float):
         if self.period is not None and abs(delta) > self.period:
@@ -392,10 +411,6 @@ class _Binom(_Family):
             ls = 2.0 * np.log(np.abs(np.sin(xi)))
         return np.where(x == 1.0, lc, ls)
 
-    def mass(self, xi):
-        """Total probability over the support, summed from the formulas."""
-        return float(np.cos(xi) ** 2 + np.sin(xi) ** 2)
-
     def nudge(self, xi):
         """Move xi off 0 and +-pi/2, where one outcome has probability zero.
 
@@ -502,10 +517,7 @@ def normalization_check(model: ModelSpec, xi: float, cfg: QuadratureConfig | Non
     """Total probability over the observation domain; must come out 1."""
     _check_xi(model, xi)
     family = model._family
-    if family.support is not None:
-        return family.mass(xi)
-    cfg = _line_config(family, xi, cfg)
-    return integrate(lambda xs: family.density(xs, xi), model.x_domain, cfg).value
+    return family.over_x(lambda xs: family.density(xs, xi), xi, cfg).value
 
 
 def ml_estimate(model: ModelSpec, obs: Observations) -> float:

@@ -1,4 +1,5 @@
-"""Which model is which is known in one place: the records in ``models.py``."""
+"""Which model is which, and how each is integrated over its observations,
+is known in one place: the records in ``models.py``."""
 
 import ast
 from pathlib import Path
@@ -20,4 +21,26 @@ def test_no_model_branches_outside_models():
                 and node.value.id == "ModelId"
             ):
                 found.append(f"{path.name}:{node.lineno} ModelId.{node.attr}")
+    assert SOURCES and not found, found
+
+
+INTEGRATORS = {"integrate", "integrate_with_log_singularity"}
+# The family records decide how each family is integrated over its
+# observations; the package root only re-exports the integrators.
+INTEGRATOR_CALLERS = {"models.py", "quadrature.py", "__init__.py"}
+
+
+def test_only_models_imports_the_integrators():
+    found = []
+    for path in SOURCES:
+        if path.name in INTEGRATOR_CALLERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr}
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} {name}" for name in names & INTEGRATORS)
     assert SOURCES and not found, found
