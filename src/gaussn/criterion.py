@@ -70,6 +70,9 @@ def _fisher(model: ModelSpec) -> float:
 
 @lru_cache(maxsize=None)
 def _detect_cached(model: ModelSpec) -> int:
+    # The order of a shift family does not depend on its scale, and the
+    # probes below are absolute shifts: detect on the unit-scale member.
+    model = ModelSpec(model.id)
     f = _fisher(model)
     third = h_derivative_numeric(model, 3, 0.0)
     if abs(third) > 1e-4 * f**1.5:

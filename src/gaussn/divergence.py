@@ -53,11 +53,13 @@ class HEvaluation:
 
 
 def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = None) -> HEvaluation:
-    """Evaluate H(delta) by quadrature.
+    """Evaluate H(delta) by quadrature over u, through the carrier's ``over_x``.
 
     Where the family's density has zeros (trig), the integrand diverges
     logarithmically at the shifted zeros; those points are excised and
-    restored by the quadrature layer.
+    restored by the quadrature layer.  A line family is integrated about
+    u = 0 at its own scale, at an absolute tolerance tightened for small
+    shifts.
     """
     family = model._family.carrier
     family.check_shift(delta)

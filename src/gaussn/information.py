@@ -13,6 +13,9 @@ their agreement is a real cross-check:
   integrated against the density.  Log singularities of the shifted stencil
   arms are excised and restored by the quadrature layer.
 
+Both integrate over the observations through the family record's
+``over_x``, about xi (a line family in its own frame, at its scale).
+
 Both forms are independent of xi for every bundled model; the constant
 prior measure is sqrt(F) with the proportionality constant fixed to 1 (it
 cancels in every posterior).
@@ -55,11 +58,9 @@ def _floored(family, cfg: QuadratureConfig | None, floor: float) -> QuadratureCo
     cfg = cfg or QuadratureConfig()
     f = family.fisher
     # Tighten for small results (wide Gaussians, F << abs_tol), but never
-    # below the stencil noise, which grows with the step scale.
-    abs_eff = max(
-        min(cfg.abs_tol, f * cfg.rel_tol),
-        f * floor * max(1.0, family.scale),
-    )
+    # below the stencil noise, a fraction ``floor`` of F at every scale (the
+    # steps grow with a wide family's scale).
+    abs_eff = max(min(cfg.abs_tol, f * cfg.rel_tol), f * floor)
     return dataclasses.replace(cfg, abs_tol=abs_eff, rel_tol=max(cfg.rel_tol, floor))
 
 
@@ -122,10 +123,10 @@ def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | N
         ld = family.log_density(xs, xi)
         return np.exp(ld) * _curvature_stencil(family, xs, xi, ld, h)
 
-    # The stencil arms ln p(x | xi -+ h) diverge at h-shifted images of the
-    # density zeros; the zeros themselves are harmless but sharp.
     points = None
     if family.zeros is not None:
+        # The stencil arms ln p(x | xi -+ h) diverge at h-shifted images of
+        # the density zeros; the zeros themselves are harmless but sharp.
         points = [s for z in family.zeros(xi) for s in (z - h, z, z + h)]
     return -family.over_x(integrand, xi, _floored(family, cfg, _CURV_TOL_FLOOR), points).value
 

@@ -185,7 +185,7 @@ class _Family:
     """
 
     scale = 1.0  # length scale of x and xi
-    tail = None  # line families: half-width about the centre where p is not negligible
+    tail = None  # line families: half-width, in units of scale, beyond which p is negligible
     support = None  # the observation values of a discrete family
     period = None  # the period in xi of a periodic likelihood
     # Carriers: H(delta), H^(order)(delta), max |H^(order)| on |delta| <= w
@@ -212,14 +212,20 @@ class _Family:
 
         A discrete family sums over its support (error estimate 0);
         ``log_points``, the x where ``f`` diverges logarithmically, are
-        excised and restored; a line family truncates at ``tail`` about
-        ``centre``.
+        excised and restored.  A line family is integrated in its own frame,
+        as the integral of s f(centre + s t) dt with s = ``scale``, truncated
+        at |t| = ``tail`` (the family's window replaces ``cfg.tail_cutoff``):
+        the density sits at the centre of the first panels at any scale.
         """
         if self.support is not None:
             return IntegrationResult(float(np.sum(f(np.array(self.support)))), 0.0, 0)
         if log_points is not None:
             return integrate_with_log_singularity(f, self.x_domain, log_points, cfg)
-        return integrate(f, self.x_domain, _line_config(self, centre, cfg))
+        if self.tail is None:
+            return integrate(f, self.x_domain, cfg)
+        s = self.scale
+        window = dataclasses.replace(cfg or QuadratureConfig(), tail_cutoff=self.tail)
+        return integrate(lambda ts: s * f(centre + s * ts), self.x_domain, window)
 
     def check_shift(self, delta: float):
         if self.period is not None and abs(delta) > self.period:
@@ -290,13 +296,24 @@ class _Chi2Log(_Family):
 
 class _Gauss(_Family):
     x_domain = xi_domain = (-math.inf, math.inf)
+    tail = 12.0
     probe_span = (-3.0, 3.0)
+
+    # F = 1/sigma^2 and F^2, which the fourth-order criterion divides by, are
+    # normal doubles for sigma strictly inside this range (set by the float
+    # limits, about 1e-77 and 1e77).
+    sigma_range = (sys.float_info.max**-0.25, sys.float_info.min**-0.25)
 
     def __init__(self, sigma: float):
         super().__init__(sigma)
+        lo, hi = self.sigma_range
+        if not lo < sigma < hi:
+            raise InputError(
+                f"gauss sigma {sigma!r} out of range: 1/sigma^2 and its square must be "
+                f"finite, nonzero doubles at full precision, so {lo:.3g} < sigma < {hi:.3g}"
+            )
         self.fisher = 1.0 / sigma**2
         self.scale = sigma
-        self.tail = 12.0 * sigma
 
     def log_density(self, x, xi):
         s2 = self.sigma**2
@@ -482,22 +499,6 @@ def _check_x(model: ModelSpec, x):
     lo, hi = model.x_domain
     if not np.all((xs >= lo) & (xs <= hi)):
         raise InputError(f"observation outside domain [{lo!r}, {hi!r}]")
-
-
-def _line_config(family: _Family, center: float, cfg: QuadratureConfig | None) -> QuadratureConfig:
-    """Config whose truncation window covers ``family.tail`` around ``center``.
-
-    The default cutoff assumes an integrand near the origin at unit scale; a
-    flat far-out integrand would slip past its negligibility check.  A
-    family on a finite domain gets ``cfg`` (or the default) unchanged.
-    """
-    base = cfg or QuadratureConfig()
-    if family.tail is None:
-        return base
-    need = abs(center) + family.tail
-    if need <= base.tail_cutoff:
-        return base
-    return dataclasses.replace(base, tail_cutoff=need)
 
 
 def density(model: ModelSpec, x: float, xi: float) -> float:
@@ -811,4 +812,6 @@ def sample(model: ModelSpec, xi_true: float, n: int, seed: int) -> Observations:
     _check_xi(model, xi_true)
     if n < 1:
         raise InputError("sample size must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed!r}")
     return Observations(model._family.sample(np.random.default_rng(seed), xi_true, n))

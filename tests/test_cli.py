@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -228,3 +229,63 @@ def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "fisher", "--model", "gauss")
     assert code == 3
     assert "numerical failure" in err
+
+
+EXTREME_SIGMAS = ("0", "-1", "nan", "inf", "1e-300", "1e-100", "1e-20", "1e20", "1e100", "1e200")
+SIGMA_COMMANDS = (
+    ("criterion", "--model", "gauss"),
+    ("table", "--model", "gauss", "--n", "1,5"),
+    ("posterior", "--model", "gauss", "--xi-true", "0.3", "--n", "5", "--seed", "7"),
+)
+
+
+def _typed_failure(capsys, argv):
+    """Run the CLI; it must exit 0, 2 or 3, and a failure says one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (0 if code == 0 else 1), err
+    return code, err
+
+
+@pytest.mark.parametrize("sigma", EXTREME_SIGMAS)
+@pytest.mark.parametrize("command", SIGMA_COMMANDS)
+def test_extreme_sigma_is_a_typed_failure(capsys, command, sigma):
+    code, err = _typed_failure(capsys, [*command, f"--sigma={sigma}"])
+    if sigma in ("inf", "1e-300", "1e-100", "1e100", "1e200"):
+        assert code == 2 and "< sigma <" in err
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("--sigma", "inf"), 2),
+        (("--sigma", "1e-300"), 2),
+        (("--sigma", "1e-6"), 3),  # finite-difference steps do not shrink below 1e-5
+        (("--sigma", "1e8", "--xi", "5"), 0),
+        (("--sigma", "1e12"), 0),
+    ],
+)
+def test_fisher_extreme_sigma_exit_codes(capsys, argv, want):
+    assert _typed_failure(capsys, ["fisher", "--model", "gauss", *argv])[0] == want
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    argv = ["posterior", "--model", "trig", "--xi-true", "0.3", "--n", "5", "--seed", "-1"]
+    code, err = _typed_failure(capsys, argv)
+    assert code == 2 and "seed must be nonnegative" in err
+
+
+@pytest.mark.parametrize("sigma", ["1e-20", "1e20"])
+def test_gauss_minimal_n_is_one_at_any_scale(capsys, sigma):
+    # Remainder-order detection runs on the unit-scale family: its absolute
+    # probes would otherwise leave a 1e-20-wide density's window.
+    code, out, _ = run_cli(capsys, "criterion", "--model", "gauss", "--sigma", sigma)
+    assert code == 0
+    assert json.loads(out)["results"]["minimal_n"] == 1
+    code, out, _ = run_cli(capsys, "table", "--model", "gauss", "--sigma", sigma, "--n", "1,2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,0,0.000", "2,0,0.000"]

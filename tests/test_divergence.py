@@ -241,15 +241,17 @@ def test_evaluation_metadata(trig):
 
 
 # H(delta) value and error estimate, recorded before the quadrature
-# evaluated both halves of a split in one integrand call; the partition and
-# the totals must not depend on how abscissae are grouped into calls.
+# evaluated both halves of a split in one integrand call (gauss re-recorded
+# when line families were integrated in their own frame, with gauss's
+# window at 12 sigma); the partition and the totals must not depend on how
+# abscissae are grouped into calls.
 FROZEN_H = {
     ("chi2log", 1e-6): (-5.000001666047091e-13, 1.0172992074185983e-16),
     ("chi2log", 0.5): (-0.14872127070012775, 5.1493559809772384e-11),
     ("chi2log", -1.3): (-0.5725317930340109, 5.843616356339659e-11),
-    ("gauss", 1e-6): (-5.000000000704524e-13, 2.1365417061031155e-16),
-    ("gauss", 0.5): (-0.12499999999999958, 5.256503914335865e-11),
-    ("gauss", -1.3): (-0.8449999999999975, 2.18606782581673e-12),
+    ("gauss", 1e-6): (-4.999999999536894e-13, 4.460928117126775e-16),
+    ("gauss", 0.5): (-0.12499999999999965, 5.491230794956185e-12),
+    ("gauss", -1.3): (-0.8449999999999975, 1.4298106042022976e-11),
     ("trig", 1e-6): (-1.9999550531130796e-12, 2.80565609181811e-18),
     ("trig", 0.5): (-0.45969769413186096, 3.415433119551214e-11),
     ("trig", -1.3): (-1.8568887533689469, 8.322366030786692e-11),
@@ -262,3 +264,13 @@ def test_h_functional_bit_identical(name, delta):
     value, error = FROZEN_H[name, delta]
     assert repr(res.value) == repr(value)
     assert repr(res.error_estimate) == repr(error)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 50.0])
+@pytest.mark.parametrize("ratio", [1e-3, 0.5, -1.3, 5.0])
+def test_gauss_h_at_narrow_and_wide_scales(sigma, ratio):
+    # H is integrated in the density's own frame: at sigma = 0.01 a window
+    # of +-40 about 0 met the density in no panel and returned about 1e-63.
+    model = make_model("gauss", sigma=sigma)
+    delta = ratio * sigma
+    assert h_functional(model, delta).value == pytest.approx(h_closed_form(model, delta), abs=1e-9)

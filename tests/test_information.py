@@ -9,6 +9,7 @@ from gaussn import (
     fisher_report,
     h_derivative_numeric,
     make_model,
+    normalization_check,
     prior_measure,
 )
 from gaussn.information import default_probe_points
@@ -71,13 +72,15 @@ def test_fisher_report(trig):
 
 
 def test_wide_gaussian_scales(gauss):
-    # The FD step and the truncation window scale with sigma, so precision
-    # does not collapse for wide families.
-    for s in (20.0, 1e3):
+    # The FD step and the truncation window scale with sigma, and the
+    # tolerance floor is a fraction of F at every scale, so precision does
+    # not collapse for wide families (a floor grown with sigma let the
+    # curvature form drift to 1.08 F at sigma = 1e8).
+    for s in (20.0, 1e3, 1e8, 1e12):
         model = make_model("gauss", sigma=s)
         want = 1.0 / s**2
-        assert fisher_gradient_form(model, 0.3 * s) == pytest.approx(want, rel=1e-7)
-        assert fisher_curvature_form(model, 0.3 * s) == pytest.approx(want, rel=1e-6)
+        assert fisher_gradient_form(model, 0.3 * s) == pytest.approx(want, rel=1e-7, abs=0)
+        assert fisher_curvature_form(model, 0.3 * s) == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_binomial_degenerate_parameter_is_nudged(binom):
@@ -89,11 +92,13 @@ def test_binomial_degenerate_parameter_is_nudged(binom):
 
 
 # Bit patterns of both forms at xi = 0.3, recorded before the quadrature
-# evaluated both halves of a split in one integrand call.  Any change to
-# the partition, the summation order or the integrand arithmetic shows here.
+# evaluated both halves of a split in one integrand call (chi2log and gauss
+# re-recorded when line families were integrated in their own frame, about
+# xi).  Any change to the partition, the summation order or the integrand
+# arithmetic shows here.
 FROZEN_FISHER = {
-    "chi2log": (1.0000000000004172, 1.0000000075434088),
-    "gauss": (1.0000000000092517, 1.0000000000698899),
+    "chi2log": (0.9999999999893634, 1.0000000008928465),
+    "gauss": (1.000000000009663, 0.9999999965402259),
     "trig": (3.9999999999839475, 3.999999991540256),
     "binom": (3.9999999999793614, 4.000000104190075),
 }
@@ -113,3 +118,21 @@ def test_sigma_does_not_reach_non_gaussian_models(name, form):
     # sigma is the Gaussian family's length scale; it must not loosen the
     # quadrature tolerance (or change anything else) for the other models.
     assert repr(form(make_model(name, sigma=50.0), 0.3)) == repr(form(make_model(name), 0.3))
+
+
+LINE_FAMILIES = [("chi2log", 1.0)] + [("gauss", s) for s in (0.01, 0.1, 0.5, 1.0, 2.0, 50.0)]
+LINE_XI = (0.0, 0.3, -0.3, 1.1, 5.0, 20.0, 100.0, 1000.0, -1000.0)
+
+
+@pytest.mark.parametrize("name,sigma", LINE_FAMILIES)
+@pytest.mark.parametrize("xi", LINE_XI)
+def test_line_families_away_from_the_origin_and_unit_scale(name, sigma, xi):
+    # A line family is integrated in its own frame, about xi at its scale:
+    # a window fixed about x = 0 missed a narrow density, or met only a zero
+    # of the integrand, and "converged" to 0.
+    model = make_model(name, sigma=sigma)
+    f = model.analytic_fisher
+    assert fisher_gradient_form(model, xi) == pytest.approx(f, rel=1e-6, abs=0)
+    assert fisher_curvature_form(model, xi) == pytest.approx(f, rel=1e-6, abs=0)
+    assert normalization_check(model, xi) == pytest.approx(1.0, abs=1e-10)
+

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
 
@@ -376,10 +377,19 @@ def test_chi2log_sampler_matches_cdf(chi2):
 def test_sample_validation(chi2):
     with pytest.raises(InputError):
         sample(chi2, 0.0, 0, 1)
+    with pytest.raises(InputError, match="seed must be nonnegative"):
+        sample(chi2, 0.0, 5, -1)
 
 
 def test_make_model_validation():
     with pytest.raises(InputError):
         make_model("gauss", sigma=0.0)
+    # 1/sigma^2 or its square leaves the normal doubles beyond about 1e-77 and 1e77.
+    for sigma in (math.inf, 1e-300, 1e-78, 1e77, 1e200):
+        with pytest.raises(InputError, match=r"< sigma <"):
+            make_model("gauss", sigma=sigma)
+    for sigma in (1e-77, 1e76):
+        f = make_model("gauss", sigma=sigma).analytic_fisher
+        assert sys.float_info.min <= f * f <= sys.float_info.max
     with pytest.raises(ValueError):
         make_model("nope")

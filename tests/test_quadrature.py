@@ -307,3 +307,56 @@ def test_non_finite_held_out_probe_raises(point, value):
     f = _poisoned(lambda x: np.log(np.abs(x)), [point], [value])
     with pytest.raises(QuadratureError, match="probing singularity at 0.0"):
         integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
+
+
+def _spy_excisions(monkeypatch):
+    """Record (point, left half probed, right half probed) of every excision fit."""
+    import gaussn.quadrature as quadrature
+
+    calls = []
+    original = quadrature._excision_correction
+
+    def spy(f, s0, lo, hi, eps):
+        calls.append((s0, lo, hi))
+        return original(f, s0, lo, hi, eps)
+
+    monkeypatch.setattr(quadrature, "_excision_correction", spy)
+    return calls
+
+
+@pytest.mark.parametrize("delta", [5e-8, -5e-8])
+def test_one_sided_fit_restores_both_halves(monkeypatch, delta):
+    # The shifted zero -delta +- pi/2 lies 5e-8 inside an end of [-pi/2, pi/2]:
+    # both halves of its excision are inside, but only the side away from
+    # the end has room for the probes, so its fit is used for both halves.
+    from gaussn import h_functional, make_model
+
+    calls = _spy_excisions(monkeypatch)
+    value = h_functional(make_model("trig"), delta).value
+    s0 = -delta + math.copysign(HALF_PI, delta)
+    assert HALF_PI - abs(s0) > QuadratureConfig().singularity_epsilon  # excision inside
+    assert calls == [(s0, delta > 0, delta < 0)]
+    assert abs(value - -2.0 * math.sin(delta) ** 2) <= 1e-15
+
+
+def test_excision_without_probe_room_is_dropped_and_bounded(monkeypatch):
+    # The probes reach 16 eps beyond the point: on (0, 2e-7) neither side
+    # has room, so the excised mass is left out and counted as error.
+    calls = _spy_excisions(monkeypatch)
+    res = integrate_with_log_singularity(lambda x: np.log(np.abs(x - 1e-7)), (0.0, 2e-7), [1e-7])
+    assert calls == []
+    eps = QuadratureConfig().singularity_epsilon
+    assert res.error_estimate >= 4.0 * eps * abs(math.log(eps))
+    half = 1e-7  # the integral is twice that of ln u over (0, half)
+    assert abs(res.value - 2.0 * (half * math.log(half) - half)) <= res.error_estimate
+
+
+def test_panels_at_machine_resolution_raise():
+    # A step inside an interval of 64 ulps: bisection reaches one-ulp panels
+    # that cannot be split, and 1e-300 is far below their roundoff floor.
+    a = 1.0
+    b = a + 64 * math.ulp(a)
+    step = a + 29 * math.ulp(a)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+    with pytest.raises(QuadratureError, match="all panels at machine resolution"):
+        integrate(lambda x: np.where(x < step, 0.0, 1.0), (a, b), cfg)

@@ -32,6 +32,14 @@ def _commands():
             cmds.append(("fisher", "--model", model, "--xi", xi))
     for sigma in ("0.01", "2", "50"):
         cmds.append(("fisher", "--model", "gauss", "--sigma", sigma, "--xi", "0.3"))
+    # Line families away from x = 0 and from unit scale, and a scale far
+    # below the remainder-order probes.
+    for xi in ("0", "5"):
+        cmds.append(("fisher", "--model", "gauss", "--sigma", "0.5", "--xi", xi))
+    for xi in ("100", "-1000"):
+        cmds.append(("fisher", "--model", "chi2log", "--xi", xi))
+    cmds.append(("fisher", "--model", "gauss", "--xi", "1000"))
+    cmds.append(("criterion", "--model", "gauss", "--sigma", "1e-20"))
     cmds.append(("verify", "--format", "json"))
     for model in MODELS:
         for n in ("1", "8", "160", "5000"):
