@@ -11,11 +11,17 @@ overrides the default quadrature tolerances, and their --quad-tol flag
 overrides both.  criterion, table and posterior evaluate closed forms (their
 one quadrature step, the remainder-order detection, always runs at the
 default tolerances) and accept neither.
+
+``main(argv)`` may be called any number of times in one process.  It builds
+its argument parser on the first call and reuses it for every later one,
+and each call prints the same bytes and returns the same exit code as the
+same command in a fresh process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -348,6 +354,7 @@ def _add_common(p, model=True, quadrature=False):
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussn",

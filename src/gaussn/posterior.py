@@ -65,6 +65,12 @@ def _make_grid(center: float, halfwidth: float, domain, size: int) -> np.ndarray
     lo = max(center - halfwidth, domain[0])
     hi = min(center + halfwidth, domain[1])
     if not lo < hi:
+        collapsed = center - halfwidth == center + halfwidth
+        if collapsed and math.isfinite(center) and domain[0] <= center <= domain[1]:
+            raise InputError(
+                f"degenerate grid: halfwidth {halfwidth:.17g} is below the spacing of "
+                f"doubles at center {center:.17g}"
+            )
         raise InputError("degenerate grid: window does not intersect the domain")
     return np.linspace(lo, hi, size)
 

@@ -1,7 +1,9 @@
 import json
+import random
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +291,44 @@ def test_gauss_minimal_n_is_one_at_any_scale(capsys, sigma):
     code, out, _ = run_cli(capsys, "table", "--model", "gauss", "--sigma", sigma, "--n", "1,2")
     assert code == 0
     assert out.splitlines()[1:] == ["1,0,0.000", "2,0,0.000"]
+
+
+def test_collapsed_posterior_window_is_a_usage_error(capsys):
+    argv = ["posterior", "--model", "gauss", "--sigma", "1e-20", "--xi-true", "0.3",
+            "--n", "5", "--seed", "7"]
+    code, err = _typed_failure(capsys, argv)
+    assert code == 2
+    assert "halfwidth" in err and "center" in err and "domain" not in err
+
+
+SNAPSHOT = Path(__file__).parent / "data" / "cli_snapshot.json"
+FAILING_CALLS = (
+    "criterion --model nope",
+    "posterior --model trig",  # required options missing
+    "--help",
+    "fisher --model gauss --sigma 0",
+)
+FRESH_MAIN = "import sys; from gaussn.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_repeated_main_calls_carry_no_state(capsys, monkeypatch):
+    # One process runs every snapshot command, each after a failing call:
+    # outputs match the snapshot and failures match a fresh process's.
+    monkeypatch.delenv("GAUSSN_QUAD_TOL", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    fresh = {}
+    for call in FAILING_CALLS:
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH_MAIN, *call.split()],
+            capture_output=True, text=True, timeout=120,
+        )
+        fresh[call] = (proc.returncode, proc.stdout, proc.stderr)
+        assert proc.returncode != 0 or call == "--help", (call, proc.stderr)
+    golden = json.loads(SNAPSHOT.read_text())
+    commands = sorted(golden)
+    random.Random(11).shuffle(commands)
+    for i, command in enumerate(commands):
+        call = FAILING_CALLS[i % len(FAILING_CALLS)]
+        assert run_cli(capsys, *call.split()) == fresh[call], call
+        code, out, _ = run_cli(capsys, *command.split())
+        assert (code, out) == (0, golden[command]), command

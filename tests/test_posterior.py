@@ -194,6 +194,25 @@ def test_grid_size_validation(chi2):
         posterior_asymptotic(chi2, 0.0, 0)
 
 
+def test_window_below_double_spacing_names_halfwidth_and_center():
+    # 8 sigma/sqrt(5) ~ 3.6e-20 is below the spacing of doubles at 0.3, so
+    # 0.3 +- halfwidth is 0.3 although the window lies inside the domain.
+    model = make_model("gauss", sigma=1e-20)
+    obs = Observations((0.3,) * 5)
+    with pytest.raises(InputError, match=r"halfwidth 3\.57\d*e-20 .* center 0\.2999") as info:
+        posterior_from_observations(model, obs, xi_ml=0.3)
+    assert "domain" not in str(info.value)
+
+
+def test_window_that_misses_the_domain_says_so(gauss):
+    from gaussn.posterior import _make_grid
+
+    with pytest.raises(InputError, match="window does not intersect the domain"):
+        _make_grid(5.0, 1.0, (-HALF_PI, HALF_PI), 201)
+    with pytest.raises(InputError, match="window does not intersect the domain"):
+        posterior_from_observations(gauss, Observations((0.3,) * 5), xi_ml=math.inf)
+
+
 # ---------------------------------------------------------------------------
 # sufficient statistics against the N x G product
 # ---------------------------------------------------------------------------

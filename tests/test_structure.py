@@ -1,6 +1,8 @@
 """Which model is which, and how each is integrated over its observations,
-is known in one place: the records in ``models.py``."""
+is known in one place: the records in ``models.py``.  The command line
+builds its parser once per process."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -44,3 +46,27 @@ def test_only_models_imports_the_integrators():
                 continue
             found.extend(f"{path.name}:{node.lineno} {name}" for name in names & INTEGRATORS)
     assert SOURCES and not found, found
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    from gaussn import cli
+
+    cli.main(["table", "--model", "trig", "--n", "8"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        ["table", "--model", "trig", "--n", "8"],
+        ["criterion", "--model", "gauss"],
+        ["posterior", "--model", "binom", "--xi-true", "0.3", "--n", "8", "--seed", "7"],
+        ["criterion", "--model", "nope"],
+        ["--help"],
+    ):
+        cli.main(argv)
+    capsys.readouterr()
+    assert built == []
