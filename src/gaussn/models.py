@@ -57,14 +57,14 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2.0
-# Observations x grid points evaluated at once by the trig likelihood kernel
-# (2**16 doubles, 512 kB per temporary): a block stays in cache, and memory
-# stays bounded in N.
+# Observations x grid points summed as one block by the trig likelihood
+# kernel (2**16): the rows of a block are fixed by the grid's size, so each
+# column's bits are, and memory stays bounded in N.  The kernel evaluates a
+# block in column chunks of at most _PASS_ELEMENTS entries.
 _BLOCK_ELEMENTS = 1 << 16
-# Entries per pass where the trig kernel or its bounds cover a few grid
-# points (128 kB per temporary; a pass over fewer points takes more rows).
-# Buffers this small are reused by the allocator, so peak RSS stays as with
-# the whole grid, whose kernel keeps its _BLOCK_ELEMENTS blocks.
+# Entries per pass of the trig kernel and of its bounds (128 kB per
+# temporary, which stays in cache; a pass over fewer points takes more
+# rows).  Buffers this small are reused by the allocator.
 _PASS_ELEMENTS = 1 << 14
 # Rows of |cos| multiplied before one log is taken.  Each factor is at least
 # about 6e-17, the cosine of the double nearest pi/2 (entries below
@@ -88,6 +88,11 @@ _SCAN_LEVELS = (256, 32, 4)
 # and a sum, about 2e-15 at 4 ulp per sine or cosine), or of an entry the
 # kernel recomputes as |cos(x - xi)| (about 1.2e-15).
 _TRIG_ROUNDING = 4e-15
+# Bisection passes of the trig sampler before its Newton steps (a bracket of
+# pi/64, from which Newton converges in a few steps wherever the density is
+# not small), and the Newton passes after which open draws are bisected.
+_SAMPLE_BISECTIONS = 6
+_SAMPLE_NEWTON_PASSES = 12
 
 
 class ModelId(Enum):
@@ -577,10 +582,23 @@ def _trig_log_lik(xs: np.ndarray, grid: np.ndarray) -> np.ndarray:
     recomputed as |cos(x_k - xi)|, so no entry is zero.  The log is taken
     once per _LOG_GROUP rows, of the product of their |cos|; left-over rows
     take one log each.  Rows are summed in blocks of about _BLOCK_ELEMENTS
-    entries, a multiple of _LOG_GROUP rows each (``_kernel_rows``).
+    entries, a multiple of _LOG_GROUP rows each (``_kernel_rows``).  The
+    grid is split evenly into column chunks whose blocks hold at most
+    _PASS_ELEMENTS entries (128 kB), so the two buffers of a chunk stay in
+    cache.  A chunk takes three columns where such a block would take
+    fewer (grids below 12 points), so none has one column unless the grid
+    has: taking the rows of the whole grid, every chunk of two or more
+    columns gets the whole grid's bits (``_trig_columns``).
     """
-    return _trig_columns(
-        xs, np.cos(xs), np.sin(xs), grid, np.cos(grid), np.sin(grid), _kernel_rows(grid.size)
+    rows = _kernel_rows(grid.size)
+    cos_x, sin_x, cos_g, sin_g = np.cos(xs), np.sin(xs), np.cos(grid), np.sin(grid)
+    chunks = -(-grid.size // max(3, _PASS_ELEMENTS // rows))
+    edges = [j * grid.size // chunks for j in range(chunks + 1)]
+    return np.concatenate(
+        [
+            _trig_columns(xs, cos_x, sin_x, grid[a:b], cos_g[a:b], sin_g[a:b], rows)
+            for a, b in zip(edges, edges[1:])
+        ]
     )
 
 
@@ -610,8 +628,12 @@ def _trig_columns(xs, cos_x, sin_x, grid, cos_g, sin_g, rows: int) -> np.ndarray
     total = np.zeros(g)
     for start in range(0, n, per_pass):
         stop = min(start + per_pass, n)
-        block = np.multiply(cos_x[start:stop, None], cos_g, out=buffer[: stop - start])
-        block += np.multiply(sin_x[start:stop, None], sin_g, out=scratch[: stop - start])
+        block, products = buffer[: stop - start], scratch[: stop - start]
+        np.copyto(block, cos_x[start:stop, None])
+        block *= cos_g
+        np.copyto(products, sin_x[start:stop, None])
+        products *= sin_g
+        block += products
         np.abs(block, out=block)
         if np.min(block) < _COS_FLOOR:
             i, j = np.nonzero(block < _COS_FLOOR)
@@ -779,22 +801,71 @@ def _trig_refine(xs: np.ndarray, t0: float, a: float, b: float) -> float:
 
 
 def _trig_inverse_cdf(us: np.ndarray, xi: float) -> np.ndarray:
-    """x with CDF(x) = u for each u, by bisection on the whole array at once.
+    """x with CDF(x) = u for each u, by safeguarded Newton on the whole array at once.
 
     CDF(x) = prim(x - xi) - prim(-pi/2 - xi), prim(v) = (v + sin(2v)/2) / pi,
-    the antiderivative of (2/pi) cos^2(v).  Where the density is small the
-    computed CDF equals u over a band of x wider than the tolerance, so two
-    brackets are halved side by side, one closing on each end of that band,
-    until both are narrower than 1e-14; the middle of the band is returned.
+    the antiderivative of the density f(x) = (2/pi) cos^2(x - xi).  Each
+    draw keeps a bracket, first halved _SAMPLE_BISECTIONS times, then
+    narrowed by Newton steps x <- x - (CDF(x) - u) / f(x) from its middle:
+    the sign of CDF(x) - u moves the bracket, and a step that leaves it is
+    replaced by the bracket's middle.  Steps are clipped to [-pi/2, pi/2]
+    first, so a root on an end of the domain (u = 0 where the density is
+    large there) is stepped onto, not bisected towards.  A draw is done
+    when its step is at most 1e-15 or its bracket at most 1e-14.  Draws
+    still open after _SAMPLE_NEWTON_PASSES steps (where the density is
+    small, and Newton steps overshoot) finish by bisection of their
+    brackets (``_trig_bisect_cdf``), which returns the middle of the band
+    of x over which the computed CDF equals u.
     """
-    offset = -_HALF_PI - xi
-    floor = (offset + 0.5 * math.sin(2.0 * offset)) / math.pi
-    lo = np.full((2, us.size), -_HALF_PI)
-    hi = np.full((2, us.size), _HALF_PI)
+    floor = _trig_prim(-_HALF_PI - xi)
+    lo = np.full(us.size, -_HALF_PI)
+    hi = np.full(us.size, _HALF_PI)
+    for _ in range(_SAMPLE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = _trig_prim(mid - xi) - floor < us
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    xs = np.empty(us.size)
+    todo = np.arange(us.size)
+    x = 0.5 * (lo + hi)
+    for _ in range(_SAMPLE_NEWTON_PASSES):
+        v = x - xi
+        excess = _trig_prim(v) - floor - us
+        lo = np.where(excess < 0.0, x, lo)
+        hi = np.where(excess > 0.0, x, hi)
+        # |v| <= pi, so cos(v)^2 is at least about 4e-33 and the step is finite
+        nxt = np.clip(x - excess / ((2.0 / math.pi) * np.cos(v) ** 2), -_HALF_PI, _HALF_PI)
+        outside = (nxt < lo) | (nxt > hi)
+        nxt[outside] = 0.5 * (lo[outside] + hi[outside])
+        done = (np.abs(nxt - x) <= 1e-15) | (hi - lo <= 1e-14)
+        xs[todo[done]] = nxt[done]
+        left = ~done
+        todo, x, lo, hi, us = todo[left], nxt[left], lo[left], hi[left], us[left]
+        if not todo.size:
+            return xs
+    xs[todo] = _trig_bisect_cdf(us, xi, lo, hi)
+    return xs
+
+
+def _trig_prim(v):
+    """(v + sin(2v)/2) / pi, the antiderivative of (2/pi) cos^2(v)."""
+    return (v + 0.5 * np.sin(2.0 * v)) / math.pi
+
+
+def _trig_bisect_cdf(us: np.ndarray, xi: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """x with CDF(x) = u for each u, by bisection of the brackets [lo, hi].
+
+    Where the density is small the computed CDF equals u over a band of x
+    wider than the tolerance, so two copies of each bracket are halved side
+    by side, one closing on each end of that band, until both are narrower
+    than 1e-14; the middle of the band is returned.
+    """
+    floor = _trig_prim(-_HALF_PI - xi)
+    lo = np.stack([lo, lo])
+    hi = np.stack([hi, hi])
     while np.max(hi - lo) > 1e-14:
         mid = 0.5 * (lo + hi)
-        v = mid - xi
-        cdf = (v + 0.5 * np.sin(2.0 * v)) / math.pi - floor
+        cdf = _trig_prim(mid - xi) - floor
         below = np.stack([cdf[0] < us, cdf[1] <= us])
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
@@ -806,7 +877,8 @@ def sample(model: ModelSpec, xi_true: float, n: int, seed: int) -> Observations:
 
     The line models use exact transforms of standard generator output; the
     trigonometric model inverts its closed-form CDF at n uniform draws by
-    one vectorised bisection to 1e-14, so no rejection loop perturbs the
+    vectorised Newton steps kept inside a bracket, to within rounding of
+    the CDF (``_trig_inverse_cdf``), so no rejection loop perturbs the
     stream.
     """
     _check_xi(model, xi_true)

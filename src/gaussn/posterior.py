@@ -62,17 +62,25 @@ class ComparisonReport:
 
 
 def _make_grid(center: float, halfwidth: float, domain, size: int) -> np.ndarray:
+    """``size`` points from center - halfwidth to center + halfwidth, clipped to the domain.
+
+    A window only a few doubles wide would repeat points, and a grid step
+    of zero has no curvature or trapezoid weight, so a grid whose points
+    are not strictly increasing is an input error.
+    """
     lo = max(center - halfwidth, domain[0])
     hi = min(center + halfwidth, domain[1])
     if not lo < hi:
         collapsed = center - halfwidth == center + halfwidth
-        if collapsed and math.isfinite(center) and domain[0] <= center <= domain[1]:
-            raise InputError(
-                f"degenerate grid: halfwidth {halfwidth:.17g} is below the spacing of "
-                f"doubles at center {center:.17g}"
-            )
-        raise InputError("degenerate grid: window does not intersect the domain")
-    return np.linspace(lo, hi, size)
+        if not (collapsed and math.isfinite(center) and domain[0] <= center <= domain[1]):
+            raise InputError("degenerate grid: window does not intersect the domain")
+    grid = np.linspace(lo, hi, size)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise InputError(
+            f"degenerate grid: halfwidth {halfwidth:.17g} around center {center:.17g} is too "
+            f"close to the spacing of doubles there for {size} strictly increasing points"
+        )
+    return grid
 
 
 def _normalize(grid: np.ndarray, log_dens: np.ndarray) -> np.ndarray:

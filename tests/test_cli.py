@@ -220,6 +220,16 @@ def test_xi_outside_domain(capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("sigma", ("1e-17", "3e-17", "1e-16", "1e-14"))
+def test_posterior_on_a_window_of_few_doubles_exits_2(capsys, sigma):
+    argv = ("posterior", "--model", "gauss", "--sigma", sigma, "--xi-true", "0.3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--n", "5", "--seed", "7")
+    assert (code, out) == (2, "")
+    assert "degenerate grid" in err and "strictly increasing" in err
+
+
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     from gaussn.errors import QuadratureError
     import gaussn.cli as cli

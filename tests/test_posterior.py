@@ -204,6 +204,15 @@ def test_window_below_double_spacing_names_halfwidth_and_center():
     assert "domain" not in str(info.value)
 
 
+@pytest.mark.parametrize("sigma", (1e-17, 3e-17, 1e-16, 1e-14))
+def test_window_with_repeated_grid_points_names_halfwidth_center_and_size(sigma):
+    # A window a few doubles wide is not collapsed, but 2001 points over it
+    # repeat, and a zero grid step has no curvature or trapezoid weight.
+    model = make_model("gauss", sigma=sigma)
+    with pytest.raises(InputError, match=r"halfwidth \S+ around center 0\.29\d* .* 2001 strictly"):
+        posterior_from_observations(model, sample(model, 0.3, 5, 7))
+
+
 def test_window_that_misses_the_domain_says_so(gauss):
     from gaussn.posterior import _make_grid
 

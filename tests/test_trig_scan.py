@@ -28,6 +28,8 @@ from gaussn.models import (
     _trig_scan,
 )
 
+from frozen_trig_sampler import sample_by_bisection
+
 HALF_PI = math.pi / 2.0
 GRID = np.linspace(-HALF_PI, HALF_PI, 4001)
 REFERENCE = json.loads((Path(__file__).parent / "data" / "trig_ml_reference.json").read_text())
@@ -105,6 +107,33 @@ def test_kernel_sums_block_by_block(trig, n, size):
     assert np.array_equal(_trig_log_lik(xs, grid), _blockwise_oracle(xs, grid))
 
 
+@pytest.mark.parametrize("n", (1, 15, 16, 17, 500, 5000))
+@pytest.mark.parametrize("size", (2, 3, 81, 2001, 4001))
+def test_kernel_in_column_chunks_is_one_whole_grid_call(trig, n, size):
+    grid = np.linspace(-HALF_PI, HALF_PI, size)
+    xs = sample(trig, 0.3, n, 80 + n).as_array().copy()
+    # observations within 1e-12 of a pole x - xi = +-pi/2 of some grid point
+    poles = [g + HALF_PI if g < 0 else g - HALF_PI for g in grid[:: max(1, size // 3)]]
+    near = [p + d for p in poles for d in (-1e-12, 0.0, 3e-13) if abs(p + d) <= HALF_PI]
+    xs[: len(near)] = near[:n]
+    whole = _trig_columns(
+        xs, np.cos(xs), np.sin(xs), grid, np.cos(grid), np.sin(grid), _kernel_rows(size)
+    )
+    assert np.array_equal(_trig_log_lik(xs, grid), whole)
+
+
+def test_kernel_memory_is_a_few_cache_sized_buffers(trig):
+    xs = sample(trig, 0.3, 500, 5).as_array()
+    grid = np.linspace(-HALF_PI, HALF_PI, 2001)
+    tracemalloc.start()
+    try:
+        _trig_log_lik(xs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
+
+
 @pytest.mark.parametrize("n", (2, 17, 25, 46, 500, 3000))
 def test_any_two_or_more_columns_match_the_whole_grid(trig, n):
     rng = np.random.default_rng(n)
@@ -134,12 +163,13 @@ def test_scan_columns_are_the_whole_scan_bits(trig, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_estimates_equal_the_recorded_whole_scan_estimates(trig, n):
-    # Recorded before the scan was pruned, with the 4001-column scan.
+    # Recorded before the scan was pruned, with the 4001-column scan, on
+    # the draws of the bisection sampler.
     for xi in XIS:
         for seed in SEEDS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", AmbiguousMaximumWarning)
-                got = ml_estimate(trig, sample(trig, xi, n, seed))
+                got = ml_estimate(trig, sample_by_bisection(xi, n, seed))
             assert got == REFERENCE["matrix"][f"{n} {xi!r} {seed}"]
 
 
