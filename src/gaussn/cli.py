@@ -6,11 +6,11 @@ rendered with 17 significant digits, JSON keys are sorted, CSV uses LF
 line endings and a dot decimal separator.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  For fisher and verify, the environment variable GAUSSN_QUAD_TOL
-overrides the default quadrature tolerances, and their --quad-tol flag
-overrides both.  criterion, table and posterior evaluate closed forms (their
-one quadrature step, the remainder-order detection, always runs at the
-default tolerances) and accept neither.
+failure (fisher also exits 3 when its two forms differ by more than 1e-3 of
+the larger).  For fisher and verify, the environment variable
+GAUSSN_QUAD_TOL overrides the default quadrature tolerances, and their
+--quad-tol flag overrides both.  criterion, table and posterior run no
+quadrature and accept neither.
 
 ``main(argv)`` may be called any number of times in one process.  It builds
 its argument parser on the first call and reuses it for every later one,
@@ -49,6 +49,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+# Relative to the larger, two Fisher forms further apart than this are not
+# both right (an underflowed score, a loose quadrature): fisher exits 3.
+FISHER_AGREEMENT = 1e-3
 
 # Reference table for the chi2log criterion ratio, rounded to 3 decimals.
 TABLE1_GOLDEN = (
@@ -131,6 +135,11 @@ def cmd_fisher(args) -> int:
     xi = args.xi if args.xi is not None else 0.0
     grad = fisher_gradient_form(model, xi, cfg)
     curv = fisher_curvature_form(model, xi, cfg)
+    if abs(grad - curv) > FISHER_AGREEMENT * max(abs(grad), abs(curv)):
+        raise NumericalError(
+            f"the Fisher forms disagree at xi={xi!r}: gradient_form {grad!r}, "
+            f"curvature_form {curv!r} (more than {FISHER_AGREEMENT} of the larger apart)"
+        )
     env = OutputEnvelope(
         command="fisher",
         model=model.id.value,

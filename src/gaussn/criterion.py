@@ -18,9 +18,14 @@ is fourth order and
 
     r4(N) = 3 |H''''|_max / (4 N F^2).
 
+The order is read off the carrier's closed H (``detect_remainder_order``),
+so nothing in this module runs quadrature.
+
 ``paper_rounding`` mode compares the ratio after rounding to three decimals
 (the convention of the published reference table, which makes N = 160 the
 chi2log answer); ``strict`` compares the raw ratio (first true at N = 161).
+Rounding makes every ratio below 5e-4 read 0.000, so ``paper_rounding``
+refuses a threshold below that step; ``strict`` takes any threshold.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
-from .divergence import h_derivative_numeric, h_functional, max_abs_derivative
+from .divergence import max_abs_derivative
 from .errors import InputError
 from .models import ModelId, ModelSpec
 
@@ -46,6 +51,7 @@ __all__ = [
 
 Mode = Literal["strict", "paper_rounding"]
 DEFAULT_THRESHOLD = 0.1
+ROUNDING_STEP = 5e-4  # every ratio below this rounds to 0.000
 
 
 @dataclass(frozen=True)
@@ -70,23 +76,24 @@ def _fisher(model: ModelSpec) -> float:
 
 @lru_cache(maxsize=None)
 def _detect_cached(model: ModelSpec) -> int:
-    # The order of a shift family does not depend on its scale, and the
-    # probes below are absolute shifts: detect on the unit-scale member.
-    model = ModelSpec(model.id)
-    f = _fisher(model)
-    third = h_derivative_numeric(model, 3, 0.0)
-    if abs(third) > 1e-4 * f**1.5:
+    family = model._family.carrier
+    if abs(family.h_derivative(3, 0.0)) > 1e-4 * _fisher(model) ** 1.5:
         return 3
     for probe in (0.2, 0.45, 0.7):
-        left = h_functional(model, -probe).value
-        right = h_functional(model, probe).value
-        if abs(left - right) > 1e-8:
+        if abs(family.h(-probe) - family.h(probe)) > 1e-8:
             return 3
     return 4
 
 
 def detect_remainder_order(model: ModelSpec) -> int:
-    """4 when H is mirror symmetric with vanishing third derivative, else 3."""
+    """4 when H is mirror symmetric with vanishing third derivative, else 3.
+
+    Read off the carrier's closed forms, exact at any scale: 3 when
+    |H'''(0)| > 1e-4 F^(3/2) or |H(-p) - H(p)| > 1e-8 at p = 0.2, 0.45 or
+    0.7, else 4.  Like any test at these points it misses an H that is
+    mirror symmetric but not C^3 at 0, such as the Laplace shift family's
+    -(|d| + e^(-|d|) - 1), whose remainder is |d|^3 / 6.
+    """
     return _detect_cached(model)
 
 
@@ -111,6 +118,16 @@ def remainder_ratio(model: ModelSpec, n: int) -> float:
     return _remainder_terms(model, n)[-1]
 
 
+def _check_threshold(threshold: float, mode: str):
+    if not 0.0 < threshold < 1.0:
+        raise InputError("threshold must lie in (0, 1)")
+    if mode == "paper_rounding" and threshold < ROUNDING_STEP:
+        raise InputError(
+            f"threshold {threshold!r} is below {ROUNDING_STEP}: paper_rounding rounds the ratio "
+            "to 3 decimals, so every ratio that rounds to 0.000 would pass; use --mode strict"
+        )
+
+
 def _effective(raw: float, mode: str) -> float:
     if mode == "paper_rounding":
         return round(raw, 3)
@@ -125,8 +142,7 @@ def criterion_report(
     threshold: float = DEFAULT_THRESHOLD,
     mode: Mode = "paper_rounding",
 ) -> CriterionReport:
-    if not 0.0 < threshold < 1.0:
-        raise InputError("threshold must lie in (0, 1)")
+    _check_threshold(threshold, mode)
     f, sigma, halfwidth, order, h_max, raw = _remainder_terms(model, n)
     eff = _effective(raw, mode)
     return CriterionReport(
@@ -161,8 +177,7 @@ def minimal_n(
     0.0003 --mode strict`` exits 2.  The search on a declared remainder
     order planned in ROADMAP.md would take logarithmic time and lift the cap.
     """
-    if not 0.0 < threshold < 1.0:
-        raise InputError("threshold must lie in (0, 1)")
+    _check_threshold(threshold, mode)
     for n in range(1, n_max + 1):
         if _effective(remainder_ratio(model, n), mode) <= threshold:
             return n

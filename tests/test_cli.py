@@ -285,6 +285,25 @@ def test_fisher_extreme_sigma_exit_codes(capsys, argv, want):
     assert _typed_failure(capsys, ["fisher", "--model", "gauss", *argv])[0] == want
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "gauss", "--sigma", "1e-8", "--xi", "0.3"),  # the score underflows to 0
+        ("--model", "gauss", "--sigma", "1e-7", "--xi", "0.3"),
+        ("--model", "chi2log", "--xi", "1.1", "--quad-tol", "1e-2"),  # forms 99.8 % apart
+    ],
+)
+def test_fisher_refuses_forms_that_disagree(capsys, argv):
+    code, err = _typed_failure(capsys, ["fisher", *argv])
+    assert code == 3
+    assert "gradient_form" in err and "curvature_form" in err
+
+
+def test_paper_rounding_below_its_step_is_a_usage_error(capsys):
+    code, err = _typed_failure(capsys, ["criterion", "--model", "trig", "--threshold", "1e-300"])
+    assert code == 2 and "--mode strict" in err
+
+
 def test_negative_seed_is_a_usage_error(capsys):
     argv = ["posterior", "--model", "trig", "--xi-true", "0.3", "--n", "5", "--seed", "-1"]
     code, err = _typed_failure(capsys, argv)
@@ -293,8 +312,8 @@ def test_negative_seed_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("sigma", ["1e-20", "1e20"])
 def test_gauss_minimal_n_is_one_at_any_scale(capsys, sigma):
-    # Remainder-order detection runs on the unit-scale family: its absolute
-    # probes would otherwise leave a 1e-20-wide density's window.
+    # The remainder order is read off the closed H, which is exact at any
+    # scale, and the ratio of an exactly quadratic H is 0.
     code, out, _ = run_cli(capsys, "criterion", "--model", "gauss", "--sigma", sigma)
     assert code == 0
     assert json.loads(out)["results"]["minimal_n"] == 1

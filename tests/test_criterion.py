@@ -1,15 +1,22 @@
 import math
+from functools import cache
 
 import pytest
 
 from gaussn import (
     InputError,
+    ModelSpec,
+    QuadratureError,
     criterion_report,
     detect_remainder_order,
+    h_derivative_numeric,
+    h_functional,
+    make_model,
     minimal_n,
     remainder_ratio,
     table_rows,
 )
+from gaussn import criterion, quadrature
 
 TABLE1 = (
     (3, "3.263"), (4, "2.241"), (5, "1.711"), (10, "0.817"), (20, "0.437"),
@@ -23,6 +30,43 @@ def test_remainder_orders(chi2, gauss, trig, binom):
     assert detect_remainder_order(gauss) == 4
     assert detect_remainder_order(trig) == 4
     assert detect_remainder_order(binom) == 4
+
+
+@cache
+def _quadrature_order(model_id) -> int:
+    """The remainder order measured on the quadrature H, the criterion's
+    former test: an extrapolated stencil for the third derivative at 0,
+    then mirror probes.  The probes are absolute shifts, so the test runs
+    on the unit-scale member."""
+    model = ModelSpec(model_id)
+    f = model.analytic_fisher
+    if abs(h_derivative_numeric(model, 3, 0.0)) > 1e-4 * f**1.5:
+        return 3
+    for probe in (0.2, 0.45, 0.7):
+        if abs(h_functional(model, -probe).value - h_functional(model, probe).value) > 1e-8:
+            return 3
+    return 4
+
+
+@pytest.mark.parametrize(
+    "name,sigma",
+    [("chi2log", 1.0), ("trig", 1.0), ("binom", 1.0)]
+    + [("gauss", s) for s in (1e-20, 0.5, 1.0, 2.0, 1e20)],
+)
+def test_closed_form_order_matches_quadrature(name, sigma):
+    model = make_model(name, sigma=sigma)
+    assert detect_remainder_order(model) == _quadrature_order(model.id)
+
+
+def test_criterion_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise QuadratureError("the criterion ran quadrature")
+
+    criterion._detect_cached.cache_clear()
+    monkeypatch.setattr(quadrature, "_adaptive", refuse)
+    for name, n_min in (("chi2log", 160), ("gauss", 1), ("trig", 8), ("binom", 8)):
+        assert minimal_n(make_model(name)) == n_min
+        assert criterion_report(make_model(name), n_min).passes
 
 
 def test_ratio_examples(chi2, trig, gauss):
@@ -112,6 +156,19 @@ def test_report_invariants(chi2):
     strict = criterion_report(chi2, 160, mode="strict")
     assert not strict.passes
     assert strict.ratio == strict.ratio_raw
+
+
+def test_paper_rounding_refuses_thresholds_below_its_step(trig):
+    # Every ratio below 5e-4 rounds to 0.000, so such a threshold would pass
+    # ratios far above itself.
+    for threshold in (1e-300, 4.999e-4):
+        with pytest.raises(InputError, match="--mode strict"):
+            minimal_n(trig, threshold)
+        with pytest.raises(InputError, match="--mode strict"):
+            criterion_report(trig, 1501, threshold)
+    assert minimal_n(trig, 5e-4) == 1501  # 3 / (4N) rounds to 0.001 below N = 1500.5
+    assert minimal_n(trig, 4e-4, "strict") == 1875
+    assert not criterion_report(trig, 1501, 1e-300, "strict").passes
 
 
 def test_validation(chi2):

@@ -1,6 +1,6 @@
 """Which model is which, and how each is integrated over its observations,
-is known in one place: the records in ``models.py``.  The command line
-builds its parser once per process."""
+is known in one place: the records in ``models.py``.  The criterion runs
+no quadrature.  The command line builds its parser once per process."""
 
 import argparse
 import ast
@@ -46,6 +46,23 @@ def test_only_models_imports_the_integrators():
                 continue
             found.extend(f"{path.name}:{node.lineno} {name}" for name in names & INTEGRATORS)
     assert SOURCES and not found, found
+
+
+QUADRATURE_H = {"h_functional", "h_derivative_numeric"}
+
+
+def test_criterion_names_no_quadrature_h():
+    # The criterion reads the closed H of each carrier, never its quadrature.
+    path = next(p for p in SOURCES if p.name == "criterion.py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    assert not names & QUADRATURE_H, names & QUADRATURE_H
 
 
 def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
