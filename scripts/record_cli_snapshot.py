@@ -2,9 +2,9 @@
 """Record the golden CLI snapshot, or compare this tree's outputs with it.
 
 Runs each command line of ``tests/test_snapshot.COMMANDS`` through
-``gaussn.cli.main`` in this process, with ``GAUSSN_QUAD_TOL`` unset as the
-test does.  Given OUT, writes a JSON object mapping command line to stdout
-to OUT.  To add entries, extend ``COMMANDS``, record on the tree whose
+``gaussn.cli.main`` in this process, as the test does.  Given OUT, writes
+a JSON object mapping command line to stdout to OUT.  To add entries,
+extend ``COMMANDS``, record on the tree whose
 outputs are the reference, and copy the new entries into
 ``tests/data/cli_snapshot.json``:
 
@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,7 +34,6 @@ from gaussn.cli import main as cli_main  # noqa: E402
 
 def record(commands):
     """{command line: stdout}; a command that exits non-zero is an error."""
-    os.environ.pop("GAUSSN_QUAD_TOL", None)
     outputs = {}
     for command in commands:
         out = io.StringIO()

@@ -5,12 +5,11 @@ payload is tabular).  Output is byte-stable for fixed inputs: floats are
 rendered with 17 significant digits, JSON keys are sorted, CSV uses LF
 line endings and a dot decimal separator.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure (fisher also exits 3 when its two forms differ by more than 1e-3 of
-the larger).  For fisher and verify, the environment variable
-GAUSSN_QUAD_TOL overrides the default quadrature tolerances, and their
---quad-tol flag overrides both.  criterion, table and posterior run no
-quadrature and accept neither.
+Exit codes: 0 success, 1 verification failure, 2 usage error (or a request
+too large to allocate), 3 numerical failure (fisher also exits 3 when its
+two forms differ by more than 1e-3 of the larger).  Only fisher and verify
+run quadrature, and take --quad-tol to override its tolerances.  No module
+reads the environment: an envelope depends on the arguments alone.
 
 ``main(argv)`` may be called any number of times in one process.  It builds
 its argument parser on the first call and reuses it for every later one,
@@ -23,9 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +59,6 @@ TABLE1_GOLDEN = (
 )
 
 
-@dataclass(frozen=True)
-class OutputEnvelope:
-    command: str
-    model: str | None
-    parameters: dict
-    results: dict
-    tool_version: str = __version__
-
-
 def _jdump(obj) -> str:
     """Canonical JSON: sorted keys, floats at 17 significant digits."""
     if obj is None:
@@ -91,14 +79,14 @@ def _jdump(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def envelope_json(env: OutputEnvelope) -> str:
+def _envelope(command: str, model: str | None, parameters: dict, results: dict) -> str:
     return _jdump(
         {
-            "command": env.command,
-            "model": env.model,
-            "parameters": env.parameters,
-            "results": env.results,
-            "tool_version": env.tool_version,
+            "command": command,
+            "model": model,
+            "parameters": parameters,
+            "results": results,
+            "tool_version": __version__,
         }
     ) + "\n"
 
@@ -112,58 +100,43 @@ def _emit(text: str, out_path: str | None):
 
 
 def _quad_config(args) -> QuadratureConfig | None:
-    tol = args.quad_tol
-    if tol is None:
-        env = os.environ.get("GAUSSN_QUAD_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError as exc:
-                raise InputError(f"GAUSSN_QUAD_TOL is not a number: {env!r}") from exc
-    if tol is None:
-        return None
-    return QuadratureConfig(abs_tol=tol, rel_tol=tol)
-
-
-def _model_from_args(args):
-    return make_model(args.model, sigma=getattr(args, "sigma", 1.0))
+    return None if args.quad_tol is None else QuadratureConfig(args.quad_tol, args.quad_tol)
 
 
 def cmd_fisher(args) -> int:
-    model = _model_from_args(args)
+    model = make_model(args.model, args.sigma)
     cfg = _quad_config(args)
-    xi = args.xi if args.xi is not None else 0.0
-    grad = fisher_gradient_form(model, xi, cfg)
-    curv = fisher_curvature_form(model, xi, cfg)
+    grad = fisher_gradient_form(model, args.xi, cfg)
+    curv = fisher_curvature_form(model, args.xi, cfg)
     if abs(grad - curv) > FISHER_AGREEMENT * max(abs(grad), abs(curv)):
         raise NumericalError(
-            f"the Fisher forms disagree at xi={xi!r}: gradient_form {grad!r}, "
+            f"the Fisher forms disagree at xi={args.xi!r}: gradient_form {grad!r}, "
             f"curvature_form {curv!r} (more than {FISHER_AGREEMENT} of the larger apart)"
         )
-    env = OutputEnvelope(
-        command="fisher",
-        model=model.id.value,
-        parameters={"xi": xi, "sigma": model.sigma_param},
-        results={
+    text = _envelope(
+        "fisher",
+        model.id.value,
+        {"xi": args.xi, "sigma": model.sigma_param},
+        {
             "gradient_form": grad,
             "curvature_form": curv,
             "discrepancy": abs(grad - curv),
             "prior_measure": prior_measure(model),
         },
     )
-    _emit(envelope_json(env), args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_criterion(args) -> int:
-    model = _model_from_args(args)
+    model = make_model(args.model, args.sigma)
     n_min = minimal_n(model, args.threshold, args.mode)
     report = criterion_report(model, n_min, args.threshold, args.mode)
-    env = OutputEnvelope(
-        command="criterion",
-        model=model.id.value,
-        parameters={"threshold": args.threshold, "mode": args.mode, "sigma": model.sigma_param},
-        results={
+    text = _envelope(
+        "criterion",
+        model.id.value,
+        {"threshold": args.threshold, "mode": args.mode, "sigma": model.sigma_param},
+        {
             "minimal_n": n_min,
             "report": {
                 "n": report.n,
@@ -179,7 +152,7 @@ def cmd_criterion(args) -> int:
             },
         },
     )
-    _emit(envelope_json(env), args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -194,7 +167,7 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def cmd_table(args) -> int:
-    model = _model_from_args(args)
+    model = make_model(args.model, args.sigma)
     rows = table_rows(model, _parse_n_list(args.n))
     if args.format == "csv":
         lines = ["N,ratio_raw,ratio_3dp"]
@@ -202,22 +175,22 @@ def cmd_table(args) -> int:
             lines.append(f"{n},{format(raw, '.17g')},{rounded:.3f}")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    env = OutputEnvelope(
-        command="table",
-        model=model.id.value,
-        parameters={"n": [n for n, _, _ in rows]},
-        results={
+    text = _envelope(
+        "table",
+        model.id.value,
+        {"n": [n for n, _, _ in rows]},
+        {
             "rows": [
                 {"n": n, "ratio_raw": raw, "ratio_3dp": rounded} for n, raw, rounded in rows
             ]
         },
     )
-    _emit(envelope_json(env), args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_posterior(args) -> int:
-    model = _model_from_args(args)
+    model = make_model(args.model, args.sigma)
     obs = sample(model, args.xi_true, args.n, args.seed)
     xi_ml = ml_estimate(model, obs)
     post = posterior_from_observations(model, obs, args.grid_size, xi_ml=xi_ml)
@@ -228,19 +201,18 @@ def cmd_posterior(args) -> int:
         lines = ["xi,density,gaussian_density"]
         for x, d, g in zip(post.xi_values, post.densities, ref.densities):
             lines.append(f"{format(x, '.17g')},{format(d, '.17g')},{format(g, '.17g')}")
-        with open(args.grid_out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    env = OutputEnvelope(
-        command="posterior",
-        model=model.id.value,
-        parameters={
+        _emit("\n".join(lines) + "\n", args.grid_out)
+    text = _envelope(
+        "posterior",
+        model.id.value,
+        {
             "xi_true": args.xi_true,
             "n": args.n,
             "seed": args.seed,
             "grid_size": args.grid_size,
             "sigma": model.sigma_param,
         },
-        results={
+        {
             "xi_ml": xi_ml,
             "sup_log_deviation": report.sup_log_deviation,
             "kl_to_gaussian": report.kl_to_gaussian,
@@ -253,7 +225,7 @@ def cmd_posterior(args) -> int:
             },
         },
     )
-    _emit(envelope_json(env), args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -329,17 +301,17 @@ def cmd_verify(args) -> int:
         checks.extend(VERIFY_SUITES[name](cfg))
     failed = [c for c in checks if not c[1]]
     if args.format == "json":
-        env = OutputEnvelope(
-            command="verify",
-            model=None,
-            parameters={"suite": args.suite},
-            results={
+        text = _envelope(
+            "verify",
+            None,
+            {"suite": args.suite},
+            {
                 "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
                 "passed": len(checks) - len(failed),
                 "failed": len(failed),
             },
         )
-        _emit(envelope_json(env), args.out)
+        _emit(text, args.out)
     else:
         lines = []
         for n, ok, d in checks:
@@ -373,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fisher", help="Fisher information by both definitions")
     _add_common(p, quadrature=True)
-    p.add_argument("--xi", type=float, default=None)
+    p.add_argument("--xi", type=float, default=0.0)
     p.set_defaults(fn=cmd_fisher)
 
     p = sub.add_parser("criterion", help="minimal N for the Gaussian approximation")
@@ -419,6 +391,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'the request is too large'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint():

@@ -52,6 +52,7 @@ __all__ = [
 Mode = Literal["strict", "paper_rounding"]
 DEFAULT_THRESHOLD = 0.1
 ROUNDING_STEP = 5e-4  # every ratio below this rounds to 0.000
+N_MAX = 10**6  # minimal_n gives up past this N
 
 
 @dataclass(frozen=True)
@@ -70,21 +71,7 @@ class CriterionReport:
     passes: bool
 
 
-def _fisher(model: ModelSpec) -> float:
-    return float(model.analytic_fisher)
-
-
 @lru_cache(maxsize=None)
-def _detect_cached(model: ModelSpec) -> int:
-    family = model._family.carrier
-    if abs(family.h_derivative(3, 0.0)) > 1e-4 * _fisher(model) ** 1.5:
-        return 3
-    for probe in (0.2, 0.45, 0.7):
-        if abs(family.h(-probe) - family.h(probe)) > 1e-8:
-            return 3
-    return 4
-
-
 def detect_remainder_order(model: ModelSpec) -> int:
     """4 when H is mirror symmetric with vanishing third derivative, else 3.
 
@@ -94,14 +81,20 @@ def detect_remainder_order(model: ModelSpec) -> int:
     mirror symmetric but not C^3 at 0, such as the Laplace shift family's
     -(|d| + e^(-|d|) - 1), whose remainder is |d|^3 / 6.
     """
-    return _detect_cached(model)
+    family = model._family.carrier
+    if abs(family.h_derivative(3, 0.0)) > 1e-4 * model.analytic_fisher**1.5:
+        return 3
+    for probe in (0.2, 0.45, 0.7):
+        if abs(family.h(-probe) - family.h(probe)) > 1e-8:
+            return 3
+    return 4
 
 
 def _remainder_terms(model: ModelSpec, n: int) -> tuple[float, float, float, int, float, float]:
     """(fisher, sigma, halfwidth, order, h_max, raw ratio) at sample size ``n``."""
     if n < 1:
         raise InputError("sample size must be at least 1")
-    f = _fisher(model)
+    f = model.analytic_fisher
     sigma = f**-0.5
     halfwidth = 3.0 * sigma / math.sqrt(n)
     order = detect_remainder_order(model)
@@ -165,23 +158,29 @@ def minimal_n(
     model: ModelSpec,
     threshold: float = DEFAULT_THRESHOLD,
     mode: Mode = "paper_rounding",
-    n_max: int = 10**6,
 ) -> int:
     """Smallest N whose (mode-effective) ratio is at or below the threshold.
 
     The window width, and with it |H^(k)|_max, changes with N, so the scan
     walks N upward one step at a time, and its cost is linear in the answer:
     160 ratio evaluations for chi2log at the default threshold, but 9,642 at
-    threshold 0.01 and 10,601 at 0.01 in strict mode.  Past ``n_max`` it
+    threshold 0.01 and 10,601 at 0.01 in strict mode.  Past ``N_MAX`` it
     stops with ``InputError``, so ``criterion --model chi2log --threshold
-    0.0003 --mode strict`` exits 2.  The search on a declared remainder
-    order planned in ROADMAP.md would take logarithmic time and lift the cap.
+    0.0003 --mode strict`` exits 2.
+
+    A search on a declared remainder order would take O(log N) ratio
+    evaluations and lift the cap; it waits for the benchmark harness to stop
+    keeping every sweep's outcomes (about 19.6 KiB a sweep).  A prototype
+    doubled the criterion_scan workload's throughput (15.6 -> 30.8 op/s at
+    seed 41, 15.2 -> 30.8 at seed 42), and the twice as many sweeps kept
+    raised its peak RSS from 42.3 to 50.7 MB and from 41.2 to 49.8 MB, about
+    20 percent against the benchmark's 5 percent bound.
     """
     _check_threshold(threshold, mode)
-    for n in range(1, n_max + 1):
+    for n in range(1, N_MAX + 1):
         if _effective(remainder_ratio(model, n), mode) <= threshold:
             return n
-    raise InputError(f"no N at or below {n_max} satisfies the criterion")
+    raise InputError(f"no N at or below {N_MAX} satisfies the criterion")
 
 
 def table_rows(model: ModelSpec, n_values) -> list[tuple[int, float, float]]:

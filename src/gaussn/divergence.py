@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -49,7 +48,6 @@ class HEvaluation:
     delta: float
     value: float
     error_estimate: float
-    method: Literal["quadrature", "closed_form"]
 
 
 def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = None) -> HEvaluation:
@@ -65,7 +63,7 @@ def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = 
     family.check_shift(delta)
     delta = float(delta)
     if delta == 0.0:
-        return HEvaluation(0.0, 0.0, 0.0, "quadrature")  # integrand identically zero
+        return HEvaluation(0.0, 0.0, 0.0)  # integrand identically zero
 
     def integrand(us):
         p0 = np.exp(family.log_density(us, 0.0))
@@ -84,7 +82,7 @@ def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = 
         predicted = 0.5 * family.fisher * delta * delta
         cfg = dataclasses.replace(cfg, abs_tol=min(cfg.abs_tol, max(1e-3 * predicted, 1e-17)))
     res = family.over_x(integrand, 0.0, cfg, points)
-    return HEvaluation(delta, res.value, res.error_estimate, "quadrature")
+    return HEvaluation(delta, res.value, res.error_estimate)
 
 
 def h_closed_form(model: ModelSpec, delta: float) -> float:
@@ -158,22 +156,15 @@ def h_derivative_numeric(
 
 
 def max_abs_derivative(model: ModelSpec, order: int, interval_halfwidth: float) -> float:
-    """Largest |H^(order)| over |delta| <= interval_halfwidth.
+    """Largest |H^(order)| over |delta| <= interval_halfwidth, in closed form.
 
-    The orders the criterion needs have closed maxima in the family's
-    record (chi2log order 3, trig order 4, gauss orders 3 and up); other
-    orders take a dense scan of the analytic derivative.
+    The family's record has it for the orders the criterion asks for
+    (chi2log order 3, trig order 4, gauss orders 3 and up); any other order
+    raises ``UnsupportedModelError``.
     """
     if not interval_halfwidth > 0:
         raise InputError("interval halfwidth must be positive")
-    family = model._family.carrier
-    closed = family.h_max(order, interval_halfwidth)
-    if closed is not None:
-        return closed
-    if order < 1:
-        raise InputError("derivative order must be at least 1")
-    w = interval_halfwidth
-    if family.period is not None:
-        w = min(w, family.period)  # one period
-    grid = np.linspace(-w, w, 10001)
-    return float(max(abs(family.h_derivative(order, d)) for d in grid))
+    closed = model._family.carrier.h_max(order, interval_halfwidth)
+    if closed is None:
+        raise UnsupportedModelError(f"no closed max |H^({order})| for {model.id.value}")
+    return closed

@@ -199,6 +199,8 @@ class _Family:
     h = h_derivative = h_max = log_ratio = zeros = None
 
     def __init__(self, sigma: float):
+        if not math.isfinite(sigma):
+            raise InputError(f"sigma must be finite, got {sigma!r}")
         self.sigma = sigma
 
     @property
@@ -310,13 +312,13 @@ class _Gauss(_Family):
     sigma_range = (sys.float_info.max**-0.25, sys.float_info.min**-0.25)
 
     def __init__(self, sigma: float):
-        super().__init__(sigma)
         lo, hi = self.sigma_range
         if not lo < sigma < hi:
             raise InputError(
                 f"gauss sigma {sigma!r} out of range: 1/sigma^2 and its square must be "
                 f"finite, nonzero doubles at full precision, so {lo:.3g} < sigma < {hi:.3g}"
             )
+        super().__init__(sigma)
         self.fisher = 1.0 / sigma**2
         self.scale = sigma
 
@@ -421,10 +423,7 @@ class _Binom(_Family):
     probe_span = (0.15, 1.4)
     support = (0.0, 1.0)
     period = math.pi
-
-    @property
-    def carrier(self) -> _Family:
-        return _Trig(1.0)
+    carrier = _Trig(1.0)  # one record, shared by every binom model
 
     def log_density(self, x, xi):
         # log cos^2(xi) for x = 1, log sin^2(xi) for x = 0
@@ -481,7 +480,8 @@ _FAMILIES = {
 def make_model(model_id: ModelId | str, sigma: float = 1.0) -> ModelSpec:
     """Build the description of one of the bundled models.
 
-    ``sigma`` only affects the Gaussian shift family and must be positive.
+    ``sigma`` only affects the Gaussian shift family and must be positive
+    and finite.
     """
     mid = ModelId(model_id) if not isinstance(model_id, ModelId) else model_id
     if not sigma > 0:
@@ -490,6 +490,8 @@ def make_model(model_id: ModelId | str, sigma: float = 1.0) -> ModelSpec:
 
 
 def _check_xi(model: ModelSpec, xi: float):
+    if not math.isfinite(xi):
+        raise InputError(f"parameter {xi!r} must be finite")
     lo, hi = model.xi_domain
     if not (lo <= xi <= hi):
         raise InputError(f"parameter {xi!r} outside domain [{lo!r}, {hi!r}]")

@@ -51,7 +51,6 @@ _MIN_GRID_SIZE = 201
 class PosteriorGrid:
     xi_values: np.ndarray
     densities: np.ndarray
-    normalized: bool
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def posterior_from_observations(
     if family.period is not None:
         halfwidth, domain = min(halfwidth, family.period / 2.0), (-math.inf, math.inf)
     grid = _make_grid(center, halfwidth, domain, grid_size)
-    return PosteriorGrid(grid, _normalize(grid, family.log_lik(obs.as_array(), grid)), True)
+    return PosteriorGrid(grid, _normalize(grid, family.log_lik(obs.as_array(), grid)))
 
 
 def posterior_asymptotic(
@@ -151,7 +150,7 @@ def posterior_asymptotic(
     deltas = center - grid
     h = family.carrier.h  # the binomial borrows its carrier's H
     h_values = np.array([h(d) for d in deltas])
-    return PosteriorGrid(grid, _normalize(grid, n * h_values), True)
+    return PosteriorGrid(grid, _normalize(grid, n * h_values))
 
 
 def gaussian_reference(
@@ -179,7 +178,7 @@ def gaussian_reference(
     else:
         grid = np.asarray(grid, dtype=float)
     log_dens = -((grid - xi_ml) ** 2) / (2.0 * sigma**2)
-    return PosteriorGrid(grid, _normalize(grid, log_dens), True)
+    return PosteriorGrid(grid, _normalize(grid, log_dens))
 
 
 def compare_to_gaussian(post: PosteriorGrid, ref: PosteriorGrid) -> ComparisonReport:

@@ -145,16 +145,9 @@ def test_byte_identical_output(capsys):
     assert out1 == out2
 
 
-def test_quad_tol_flag_and_env(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, "fisher", "--model", "gauss", "--quad-tol", "1e-8")
+def test_quad_tol_flag(capsys):
+    code, _, _ = run_cli(capsys, "fisher", "--model", "gauss", "--quad-tol", "1e-8")
     assert code == 0
-    monkeypatch.setenv("GAUSSN_QUAD_TOL", "1e-8")
-    code, _, _ = run_cli(capsys, "fisher", "--model", "gauss")
-    assert code == 0
-    monkeypatch.setenv("GAUSSN_QUAD_TOL", "notanumber")
-    code, _, err = run_cli(capsys, "fisher", "--model", "gauss")
-    assert code == 2
-    assert "GAUSSN_QUAD_TOL" in err
 
 
 def test_quad_tol_only_where_quadrature_runs(capsys):
@@ -299,6 +292,48 @@ def test_fisher_refuses_forms_that_disagree(capsys, argv):
     assert "gradient_form" in err and "curvature_form" in err
 
 
+def test_infinite_sigma_is_a_usage_error_for_every_model(capsys):
+    # JSON has no inf: the envelope must never carry one
+    for name in ("chi2log", "gauss", "trig", "binom"):
+        for command in (
+            ("criterion",),
+            ("table", "--n", "8"),
+            ("fisher",),
+            ("posterior", "--xi-true", "0.3", "--n", "5", "--seed", "7"),
+        ):
+            argv = (*command, "--model", name, "--sigma", "inf")
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "sigma" in err and len(err.splitlines()) == 1, (argv, err)
+
+
+@pytest.mark.parametrize("name", ("chi2log", "gauss"))
+@pytest.mark.parametrize("value", ("inf", "-inf"))
+def test_non_finite_parameter_on_the_line_is_a_usage_error(capsys, name, value):
+    for argv in (
+        ("fisher", "--model", name, f"--xi={value}"),
+        ("posterior", "--model", name, f"--xi-true={value}", "--n", "5", "--seed", "1"),
+    ):
+        code, err = _typed_failure(capsys, argv)
+        assert code == 2, (argv, err)
+        assert f"parameter {float(value)!r} must be finite" in err, (argv, err)
+
+
+@pytest.mark.parametrize("message", ("Unable to allocate 745. GiB for an array", ""))
+def test_allocation_failure_is_a_usage_error(capsys, monkeypatch, message):
+    import gaussn.cli as cli
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample", too_large)
+    argv = ("posterior", "--model", "trig", "--xi-true", "0.3", "--n", "5", "--seed", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1, err
+    assert message in err
+
+
 def test_paper_rounding_below_its_step_is_a_usage_error(capsys):
     code, err = _typed_failure(capsys, ["criterion", "--model", "trig", "--threshold", "1e-300"])
     assert code == 2 and "--mode strict" in err
@@ -343,7 +378,6 @@ FRESH_MAIN = "import sys; from gaussn.cli import main; sys.exit(main(sys.argv[1:
 def test_repeated_main_calls_carry_no_state(capsys, monkeypatch):
     # One process runs every snapshot command, each after a failing call:
     # outputs match the snapshot and failures match a fresh process's.
-    monkeypatch.delenv("GAUSSN_QUAD_TOL", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
     fresh = {}
     for call in FAILING_CALLS:

@@ -62,7 +62,7 @@ def test_criterion_runs_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise QuadratureError("the criterion ran quadrature")
 
-    criterion._detect_cached.cache_clear()
+    criterion.detect_remainder_order.cache_clear()
     monkeypatch.setattr(quadrature, "_adaptive", refuse)
     for name, n_min in (("chi2log", 160), ("gauss", 1), ("trig", 8), ("binom", 8)):
         assert minimal_n(make_model(name)) == n_min
@@ -89,6 +89,20 @@ def test_minimal_n(chi2, trig, binom, gauss):
     assert minimal_n(trig, 0.1, "strict") == 8
     assert minimal_n(binom, 0.1, "strict") == 8
     assert minimal_n(gauss) == 1
+
+
+def test_minimal_n_stops_at_its_cap(chi2, capsys, monkeypatch):
+    from gaussn.cli import main
+
+    monkeypatch.setattr(criterion, "N_MAX", 161)
+    assert minimal_n(chi2, 0.1, "strict") == 161
+    monkeypatch.setattr(criterion, "N_MAX", 100)
+    with pytest.raises(InputError, match="no N at or below 100 satisfies the criterion"):
+        minimal_n(chi2, 0.1, "strict")
+    assert main(["criterion", "--model", "chi2log", "--mode", "strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no N at or below 100 satisfies the criterion\n"
 
 
 def test_strict_boundary_values(chi2):

@@ -14,6 +14,8 @@ from gaussn import (
     InputError,
     Observations,
     density,
+    fisher_curvature_form,
+    fisher_gradient_form,
     log_density,
     make_model,
     ml_estimate,
@@ -441,3 +443,26 @@ def test_make_model_validation():
         assert sys.float_info.min <= f * f <= sys.float_info.max
     with pytest.raises(ValueError):
         make_model("nope")
+
+
+def test_infinite_sigma_is_refused_by_every_model():
+    for name in ("chi2log", "trig", "binom"):
+        with pytest.raises(InputError, match=r"sigma must be finite, got inf"):
+            make_model(name, sigma=math.inf)
+    with pytest.raises(InputError, match=r"< sigma <"):
+        make_model("gauss", sigma=math.inf)
+
+
+@pytest.mark.parametrize("xi", (math.inf, -math.inf))
+@pytest.mark.parametrize("name", ("chi2log", "gauss"))
+def test_infinite_parameter_is_refused_on_the_line(name, xi):
+    model = make_model(name)
+    for call in (
+        lambda: density(model, 0.0, xi),
+        lambda: log_density(model, 0.0, xi),
+        lambda: sample(model, xi, 5, 1),
+        lambda: fisher_gradient_form(model, xi),
+        lambda: fisher_curvature_form(model, xi),
+    ):
+        with pytest.raises(InputError, match=f"parameter {xi!r} must be finite"):
+            call()

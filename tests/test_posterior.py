@@ -41,7 +41,6 @@ def test_grids_are_normalized(chi2, trig, binom):
     ):
         assert _grid_mass(pg) == pytest.approx(1.0, abs=1e-6)
         assert np.all(np.diff(pg.xi_values) > 0)
-        assert pg.normalized
 
 
 def test_gaussian_model_posterior_is_exactly_gaussian(gauss):

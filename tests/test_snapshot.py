@@ -67,7 +67,6 @@ def test_snapshot_covers_exactly_these_commands(golden):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_cli_output_is_byte_identical(command, golden, capsys, monkeypatch):
-    monkeypatch.delenv("GAUSSN_QUAD_TOL", raising=False)
+def test_cli_output_is_byte_identical(command, golden, capsys):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == golden[command]

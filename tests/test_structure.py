@@ -1,6 +1,7 @@
 """Which model is which, and how each is integrated over its observations,
 is known in one place: the records in ``models.py``.  The criterion runs
-no quadrature.  The command line builds its parser once per process."""
+no quadrature.  The command line builds its parser once per process, and
+no module reads the environment, so an envelope depends on argv alone."""
 
 import argparse
 import ast
@@ -63,6 +64,25 @@ def test_criterion_names_no_quadrature_h():
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     assert not names & QUADRATURE_H, names & QUADRATURE_H
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} {name}" for name in names & ENVIRONMENT_READS)
+    assert SOURCES and not found, found
 
 
 def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
