@@ -6,6 +6,10 @@ variants, Fisher information by both definitions, the expected
 log-likelihood functional H with its derivatives, the Taylor-remainder
 criterion that yields the minimal sample size, and tabulated posterior
 comparisons against the Gaussian reference.
+
+Importing the package loads every submodule but not numpy: each module
+binds numpy the first time it uses it (``_lazy``), so the closed-form
+answers (``minimal_n``, ``criterion_report``, ``table_rows``) never load it.
 """
 
 __version__ = "0.1.0"

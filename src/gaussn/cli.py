@@ -9,7 +9,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (or a request
 too large to allocate), 3 numerical failure (fisher also exits 3 when its
 two forms differ by more than 1e-3 of the larger).  Only fisher and verify
 run quadrature, and take --quad-tol to override its tolerances.  No module
-reads the environment: an envelope depends on the arguments alone.
+reads the environment: an envelope depends on the arguments alone.  Only
+gauss takes a --sigma other than 1; the other models have no length scale.
+
+criterion, table and verify --suite table1 read closed forms and run
+without numpy; fisher, posterior and the quadrature verify suites import
+it on their first numeric step.
 
 ``main(argv)`` may be called any number of times in one process.  It builds
 its argument parser on the first call and reuses it for every later one,
@@ -24,9 +29,8 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
+from ._lazy import LazyNumpy
 from .criterion import criterion_report, minimal_n, table_rows
 from .divergence import h_closed_form, h_functional
 from .errors import InputError, NumericalError
@@ -39,6 +43,8 @@ from .information import (
 from .models import ModelId, make_model, ml_estimate, sample
 from .posterior import compare_to_gaussian, gaussian_reference, posterior_from_observations
 from .quadrature import QuadratureConfig
+
+np = LazyNumpy(globals())
 
 MODEL_NAMES = tuple(m.value for m in ModelId)
 
@@ -65,17 +71,24 @@ def _jdump(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{_jdump(v)}" for k, v in sorted(obj.items()))
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_jdump(v) for v in obj) + "]"
+    if "numpy" in sys.modules:  # no numpy value exists before numpy is loaded
+        if isinstance(obj, np.integer):
+            return str(int(obj))
+        if isinstance(obj, np.floating):
+            return format(float(obj), ".17g")
+        if isinstance(obj, np.ndarray):
+            return "[" + ",".join(_jdump(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -329,7 +342,7 @@ def cmd_verify(args) -> int:
 def _add_common(p, model=True, quadrature=False):
     if model:
         p.add_argument("--model", required=True, choices=MODEL_NAMES)
-        p.add_argument("--sigma", type=float, default=1.0, help="sigma of the gauss model")
+        p.add_argument("--sigma", type=float, default=1.0, help="length scale of gauss (others take 1)")
     if quadrature:
         p.add_argument("--quad-tol", type=float, default=None, help="override quadrature tolerances")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")

@@ -27,11 +27,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .errors import InputError, UnsupportedModelError
 from .models import ModelSpec
 from .quadrature import QuadratureConfig
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "HEvaluation",

@@ -27,11 +27,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .errors import InputError
 from .models import ModelSpec, _check_xi
 from .quadrature import QuadratureConfig
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "FisherReport",

@@ -38,10 +38,11 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .errors import InputError, QuadratureError
 from .quadrature import IntegrationResult, QuadratureConfig, integrate, integrate_with_log_singularity
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "ModelId",
@@ -201,7 +202,11 @@ class _Family:
     def __init__(self, sigma: float):
         if not math.isfinite(sigma):
             raise InputError(f"sigma must be finite, got {sigma!r}")
-        self.sigma = sigma
+        if sigma != 1.0:
+            raise InputError(
+                f"sigma must be 1 for a model without a length scale, got {sigma!r}; "
+                "gauss is the one model with a scale"
+            )
 
     @property
     def carrier(self) -> _Family:
@@ -318,7 +323,7 @@ class _Gauss(_Family):
                 f"gauss sigma {sigma!r} out of range: 1/sigma^2 and its square must be "
                 f"finite, nonzero doubles at full precision, so {lo:.3g} < sigma < {hi:.3g}"
             )
-        super().__init__(sigma)
+        self.sigma = sigma
         self.fisher = 1.0 / sigma**2
         self.scale = sigma
 
@@ -480,10 +485,12 @@ _FAMILIES = {
 def make_model(model_id: ModelId | str, sigma: float = 1.0) -> ModelSpec:
     """Build the description of one of the bundled models.
 
-    ``sigma`` only affects the Gaussian shift family and must be positive
-    and finite.
+    ``sigma`` is the Gaussian shift family's length scale and must be
+    finite and positive; the other families have no scale and take only 1.
     """
     mid = ModelId(model_id) if not isinstance(model_id, ModelId) else model_id
+    if math.isnan(sigma):  # before the sign test, which NaN also fails
+        raise InputError(f"sigma must be finite, got {sigma!r}")
     if not sigma > 0:
         raise InputError("sigma must be strictly positive")
     return ModelSpec(mid, sigma)

@@ -29,10 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .errors import InputError
 from .models import ModelSpec, Observations, ml_estimate
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "PosteriorGrid",

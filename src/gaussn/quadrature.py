@@ -41,11 +41,13 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .errors import InputError, QuadratureError
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "QuadratureConfig",
@@ -54,8 +56,11 @@ __all__ = [
     "integrate_with_log_singularity",
 ]
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
-_XGK_HALF = np.array([
+# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].  The
+# literals are Python floats; ``_build_rule`` makes the arrays the rule
+# multiplies (_NODES, _WK, _WG) from them on the first integration, so
+# importing this module loads no numpy.
+_XGK_HALF = (
     0.991455371120813,
     0.949107912342759,
     0.864864423359769,
@@ -63,8 +68,8 @@ _XGK_HALF = np.array([
     0.586087235467691,
     0.405845151377397,
     0.207784955007898,
-])
-_WGK_HALF = np.array([
+)
+_WGK_HALF = (
     0.022935322010529,
     0.063092092629979,
     0.104790010322250,
@@ -72,20 +77,34 @@ _WGK_HALF = np.array([
     0.169004726639267,
     0.190350578064785,
     0.204432940075298,
-])
+)
 _WGK_CENTER = 0.209482141084728
 # Gauss-7 weights sit on Kronrod nodes 1, 3, 5 (half) and the centre.
-_WG_HALF = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119])
+_WG_HALF = (0.129484966168870, 0.279705391489277, 0.381830050505119)
 _WG_CENTER = 0.417959183673469
 
-_NODES = np.concatenate([-_XGK_HALF, [0.0], _XGK_HALF[::-1]])
-_WK = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])
-_WG = np.zeros(15)
-_WG[[1, 3, 5]] = _WG_HALF
-_WG[7] = _WG_CENTER
-_WG[[9, 11, 13]] = _WG_HALF[::-1]
+_EPS = sys.float_info.epsilon
 
-_EPS = np.finfo(float).eps
+
+def _build_rule():
+    """Bind _NODES, _WK and _WG: the 15 nodes, Kronrod and Gauss weights."""
+    global _NODES, _WK, _WG
+    xgk_half, wgk_half, wg_half = np.array(_XGK_HALF), np.array(_WGK_HALF), np.array(_WG_HALF)
+    _NODES = np.concatenate([-xgk_half, [0.0], xgk_half[::-1]])
+    _WK = np.concatenate([wgk_half, [_WGK_CENTER], wgk_half[::-1]])
+    wg = np.zeros(15)
+    wg[[1, 3, 5]] = wg_half
+    wg[7] = _WG_CENTER
+    wg[[9, 11, 13]] = wg_half[::-1]
+    _WG = wg
+
+
+def __getattr__(name):
+    # The rule's arrays, for a reader outside the module before any integration.
+    if name in ("_NODES", "_WK", "_WG"):
+        _build_rule()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +180,8 @@ def _rule(y, a, b):
 
 
 def _adaptive(f, a, b, cfg):
+    if "_WG" not in globals():  # the first integration in this process
+        _build_rule()
     value0, err0 = _rule(_values(f, _abscissae(a, b)), a, b)
     # Max-heap on error; (a, b) breaks ties so scheduling is deterministic.
     heap = [(-err0, a, b, value0, err0)]

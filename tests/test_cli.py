@@ -307,6 +307,32 @@ def test_infinite_sigma_is_a_usage_error_for_every_model(capsys):
             assert "sigma" in err and len(err.splitlines()) == 1, (argv, err)
 
 
+SIGMA_MODEL_COMMANDS = (
+    ("criterion",),
+    ("table", "--n", "8"),
+    ("fisher",),
+    ("posterior", "--xi-true", "0.3", "--n", "5", "--seed", "7"),
+)
+
+
+def test_nan_sigma_is_a_usage_error_naming_finiteness(capsys):
+    for name in ("chi2log", "gauss", "trig", "binom"):
+        for command in SIGMA_MODEL_COMMANDS:
+            argv = (*command, "--model", name, "--sigma", "nan")
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: sigma must be finite, got nan\n"), argv
+
+
+@pytest.mark.parametrize("name", ("chi2log", "trig", "binom"))
+def test_sigma_is_a_usage_error_without_a_length_scale(capsys, name):
+    for command in SIGMA_MODEL_COMMANDS:
+        code, out, err = run_cli(capsys, *command, "--model", name, "--sigma", "5")
+        assert (code, out) == (2, ""), command
+        assert "sigma must be 1" in err and "gauss" in err and len(err.splitlines()) == 1, err
+        code, out, _ = run_cli(capsys, *command, "--model", name, "--sigma", "1")
+        assert code == 0 and out == run_cli(capsys, *command, "--model", name)[1], command
+
+
 @pytest.mark.parametrize("name", ("chi2log", "gauss"))
 @pytest.mark.parametrize("value", ("inf", "-inf"))
 def test_non_finite_parameter_on_the_line_is_a_usage_error(capsys, name, value):

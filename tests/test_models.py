@@ -453,6 +453,22 @@ def test_infinite_sigma_is_refused_by_every_model():
         make_model("gauss", sigma=math.inf)
 
 
+def test_nan_sigma_is_refused_as_not_finite():
+    for name in ("chi2log", "gauss", "trig", "binom"):
+        with pytest.raises(InputError, match=r"sigma must be finite, got nan"):
+            make_model(name, sigma=math.nan)
+
+
+@pytest.mark.parametrize("sigma", (50.0, 5.0, 0.5, 1.0 + 2.0**-52))
+@pytest.mark.parametrize("name", ("chi2log", "trig", "binom"))
+def test_sigma_is_refused_by_models_without_a_length_scale(name, sigma):
+    # Only gauss has a length scale; another sigma would be echoed beside
+    # results that ignore it.
+    with pytest.raises(InputError, match=r"sigma must be 1 .*gauss is the one model with a scale"):
+        make_model(name, sigma=sigma)
+    assert make_model(name, sigma=1.0) == make_model(name)
+
+
 @pytest.mark.parametrize("xi", (math.inf, -math.inf))
 @pytest.mark.parametrize("name", ("chi2log", "gauss"))
 def test_infinite_parameter_is_refused_on_the_line(name, xi):

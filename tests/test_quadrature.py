@@ -32,6 +32,33 @@ def test_panel_rule_polynomial_exactness():
     assert abs(float(_WG @ _NODES**14) - 2.0 / 15.0) > 1e-5  # Gauss-7 limit
 
 
+def test_rule_arrays_keep_the_bits_of_the_former_module_constants():
+    # The arrays are built on the first integration, no longer at import;
+    # built the way the module once built them, from the same literals,
+    # they must come out bit for bit the same.
+    xgk_half = np.array([
+        0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
+        0.586087235467691, 0.405845151377397, 0.207784955007898,
+    ])
+    wgk_half = np.array([
+        0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+        0.169004726639267, 0.190350578064785, 0.204432940075298,
+    ])
+    wg_half = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119])
+    nodes = np.concatenate([-xgk_half, [0.0], xgk_half[::-1]])
+    wk = np.concatenate([wgk_half, [0.209482141084728], wgk_half[::-1]])
+    wg = np.zeros(15)
+    wg[[1, 3, 5]] = wg_half
+    wg[7] = 0.417959183673469
+    wg[[9, 11, 13]] = wg_half[::-1]
+    from gaussn.quadrature import _EPS, _NODES, _WG, _WK
+
+    for got, want in ((_NODES, nodes), (_WK, wk), (_WG, wg)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert _EPS == np.finfo(float).eps
+
+
 def test_cos_squared_over_one_period():
     res = integrate(lambda s: np.cos(s) ** 2, (-HALF_PI, HALF_PI))
     assert res.value == pytest.approx(HALF_PI, abs=1e-12)

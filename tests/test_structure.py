@@ -1,10 +1,14 @@
 """Which model is which, and how each is integrated over its observations,
 is known in one place: the records in ``models.py``.  The criterion runs
 no quadrature.  The command line builds its parser once per process, and
-no module reads the environment, so an envelope depends on argv alone."""
+no module reads the environment, so an envelope depends on argv alone.
+Importing the package loads no numpy; each module imports it on first use."""
 
 import argparse
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import gaussn
@@ -107,3 +111,48 @@ def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
         cli.main(argv)
     capsys.readouterr()
     assert built == []
+
+
+NUMPY_FREE_COMMANDS = [
+    ["criterion", "--model", "chi2log"],
+    ["criterion", "--model", "gauss", "--sigma", "2"],
+    ["criterion", "--model", "trig"],
+    ["criterion", "--model", "binom"],
+    ["table", "--model", "chi2log", "--n", "3,160"],
+    ["verify", "--suite", "table1"],
+]
+NUMERIC_COMMAND = ["fisher", "--model", "trig"]
+
+# Run in a fresh interpreter: this one has numpy loaded already.
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import gaussn, gaussn.cli
+facts = {
+    "modules": sorted(m for m in sys.modules if m == "gaussn" or m.startswith("gaussn.")),
+    "numpy_after_import": "numpy" in sys.modules,
+    "rule_built_at_import": "_WG" in vars(sys.modules["gaussn.quadrature"]),
+    "runs": [],
+}
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gaussn.cli.main(argv)
+    facts["runs"].append([argv, code, "numpy" in sys.modules])
+print(json.dumps(facts))
+"""
+
+
+def test_numpy_loads_on_the_first_numeric_command():
+    commands = NUMPY_FREE_COMMANDS + [NUMERIC_COMMAND]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(Path(gaussn.__file__).parent.parent), json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    facts = json.loads(proc.stdout)
+    package = {"gaussn"} | {f"gaussn.{p.stem}" for p in SOURCES if not p.stem.startswith("__")}
+    assert len(package) == 10 and set(facts["modules"]) == package, facts["modules"]
+    assert not facts["numpy_after_import"]
+    assert not facts["rule_built_at_import"]
+    numpy_free = [[argv, code, loaded] for argv, code, loaded in facts["runs"][:-1]]
+    assert numpy_free == [[argv, 0, False] for argv in NUMPY_FREE_COMMANDS]
+    assert facts["runs"][-1] == [NUMERIC_COMMAND, 0, True]
