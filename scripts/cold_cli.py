@@ -4,8 +4,8 @@
     python3 scripts/cold_cli.py TREE [TREE2] [--runs K]
 
 A TREE is a source checkout holding ``src/gaussn``.  Every command below is
-run K times per tree, cold: a new interpreter that imports gaussn from that
-tree and runs the one command.  With two trees the runs alternate between
+run K times per tree, cold: a new interpreter (the one running this script)
+that imports gaussn from that tree and runs the one command.  With two trees the runs alternate between
 them, in turns whose order flips every round, so a drift in machine speed
 falls on both sides alike; the printed table compares the trees within
 each row.  Each cell is the median wall time and, in brackets, the
@@ -38,11 +38,11 @@ COMMANDS = (
 )
 
 
-def run_once(python, src, command, workdir, env) -> float:
+def run_once(src, command, workdir, env) -> float:
     """Seconds from starting one child to its exit; the command must exit 0."""
     env = dict(env, PYTHONPATH=str(src))
     t0 = time.perf_counter()
-    proc = subprocess.run([python, "-m", "gaussn", *command], cwd=workdir, env=env,
+    proc = subprocess.run([sys.executable, "-m", "gaussn", *command], cwd=workdir, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
@@ -60,7 +60,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trees", nargs="+", type=Path, help="one or two source checkouts")
     parser.add_argument("--runs", type=int, default=9, help="cold runs per command and tree")
-    parser.add_argument("--python", default=sys.executable, help="interpreter to start")
     args = parser.parse_args(argv)
     if len(args.trees) > 2:
         parser.error("give one or two trees")
@@ -76,16 +75,16 @@ def main(argv=None) -> int:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         for command in COMMANDS:  # untimed: every timed run then meets a warm file cache
             for src in srcs:
-                run_once(args.python, src, command, workdir, env)
+                run_once(src, command, workdir, env)
         for k in range(args.runs):
             order = list(range(len(srcs)))
             if k % 2:
                 order.reverse()
             for command in COMMANDS:
                 for i in order:
-                    times[i, command].append(run_once(args.python, srcs[i], command, workdir, env))
+                    times[i, command].append(run_once(srcs[i], command, workdir, env))
 
-    print(f"median [quartiles] of {args.runs} cold runs per cell, {args.python}")
+    print(f"median [quartiles] of {args.runs} cold runs per cell, {sys.executable}")
     for i, tree in enumerate(args.trees):
         print(f"tree {i + 1}: {tree}")
     header = "| command | " + " | ".join(f"tree {i + 1}" for i in range(len(srcs))) + " |"

@@ -99,14 +99,6 @@ def _build_rule():
     _WG = wg
 
 
-def __getattr__(name):
-    # The rule's arrays, for a reader outside the module before any integration.
-    if name in ("_NODES", "_WK", "_WG"):
-        _build_rule()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and limits for the adaptive integrator.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussn import quadrature
 from gaussn.errors import InputError, QuadratureError
 from gaussn.quadrature import (
     QuadratureConfig,
@@ -15,11 +16,17 @@ from gaussn.quadrature import (
 HALF_PI = math.pi / 2.0
 
 
+def _rule_arrays():
+    # The rule's arrays are built on the first integration; build them here.
+    quadrature._build_rule()
+    return quadrature._NODES, quadrature._WK, quadrature._WG
+
+
 def test_panel_rule_polynomial_exactness():
     # The embedded pair is exact through degree 13 (Gauss-7) and 22
     # (Kronrod-15); a typo in the tabulated nodes or weights would break
     # this at machine precision.
-    from gaussn.quadrature import _NODES, _WG, _WK
+    _NODES, _WK, _WG = _rule_arrays()
 
     assert np.sum(_WK) == pytest.approx(2.0, abs=1e-13)
     assert np.sum(_WG) == pytest.approx(2.0, abs=1e-13)
@@ -51,12 +58,11 @@ def test_rule_arrays_keep_the_bits_of_the_former_module_constants():
     wg[[1, 3, 5]] = wg_half
     wg[7] = 0.417959183673469
     wg[[9, 11, 13]] = wg_half[::-1]
-    from gaussn.quadrature import _EPS, _NODES, _WG, _WK
-
+    _NODES, _WK, _WG = _rule_arrays()
     for got, want in ((_NODES, nodes), (_WK, wk), (_WG, wg)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert _EPS == np.finfo(float).eps
+    assert quadrature._EPS == np.finfo(float).eps
 
 
 def test_cos_squared_over_one_period():
@@ -237,9 +243,8 @@ def test_excision_probes_take_one_call():
 
 
 def _first_panel_abscissae(a, b):
-    from gaussn.quadrature import _NODES
-
-    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
+    nodes, _, _ = _rule_arrays()
+    return 0.5 * (a + b) + 0.5 * (b - a) * nodes
 
 
 def _poisoned(base, points, values):
