@@ -25,7 +25,6 @@ from .criterion import (
 from .divergence import (
     HEvaluation,
     h_closed_form,
-    h_derivative_analytic,
     h_derivative_numeric,
     h_functional,
     max_abs_derivative,
@@ -98,7 +97,6 @@ __all__ = [
     "fisher_report",
     "gaussian_reference",
     "h_closed_form",
-    "h_derivative_analytic",
     "h_derivative_numeric",
     "h_functional",
     "integrate",

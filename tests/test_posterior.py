@@ -3,8 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gaussn.models
 from gaussn import (
@@ -349,19 +347,3 @@ def test_periodic_grid_halfwidth_stops_at_one_period(trig, binom):
         post = posterior_from_observations(model, obs, xi_ml=1.2)
         assert post.xi_values[0] == pytest.approx(1.2 - HALF_PI, abs=1e-15)
         assert post.xi_values[-1] == pytest.approx(1.2 + HALF_PI, abs=1e-15)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    t=st.floats(-HALF_PI, HALF_PI),
-    n=st.integers(1, 200),
-    seed=st.integers(0, 2**20),
-    name=st.sampled_from(("trig", "binom")),
-)
-def test_periodic_posterior_is_invariant_under_a_period(t, n, seed, name):
-    model = make_model(name)
-    obs = sample(model, 0.3, n, seed)
-    a = posterior_from_observations(model, obs, xi_ml=t)
-    b = posterior_from_observations(model, obs, xi_ml=t + math.pi)
-    np.testing.assert_allclose(b.xi_values - math.pi, a.xi_values, rtol=0, atol=1e-12)
-    assert np.max(np.abs(a.densities - b.densities)) <= 1e-9 * np.max(a.densities)
