@@ -21,6 +21,13 @@ from gaussn import (
 HALF_PI = math.pi / 2.0
 
 
+def test_zero_shift_is_exactly_zero(all_models):
+    for model in all_models:
+        ev = h_functional(model, 0.0)
+        assert ev.value == 0.0
+        assert ev.error_estimate == 0.0
+
+
 def test_gauss_value():
     gauss = make_model("gauss")
     ev = h_functional(gauss, 0.7)

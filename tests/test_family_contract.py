@@ -189,6 +189,18 @@ def test_normalization(model):
         assert abs(normalization_check(model, float(xi)) - 1.0) <= 1e-7, xi
 
 
+@records(has_h)
+def test_log_density_matches_its_definition(model):
+    mp = pytest.importorskip("mpmath")
+    family = model._family
+    log_density = DEFINITIONS[type(family)][0]
+    rng = np.random.default_rng(4)
+    x, xi = (rng.uniform(-1.5, 1.5, 50) * family.scale for _ in range(2))
+    with mp.workdps(40):
+        want = [float(log_density(mp, family, mp.mpf(a) - mp.mpf(b))) for a, b in zip(x, xi)]
+    np.testing.assert_allclose(family.log_density(x, xi), want, rtol=1e-13, atol=1e-13)
+
+
 @records(lambda family: family.support is None)
 def test_translation(model):
     # p(x + a | xi + a) = p(x | xi); one ulp of x - xi moves the density by
