@@ -37,10 +37,8 @@ from .errors import (
     UnsupportedModelError,
 )
 from .information import (
-    FisherReport,
     fisher_curvature_form,
     fisher_gradient_form,
-    fisher_report,
     prior_measure,
 )
 from .models import (
@@ -75,7 +73,6 @@ __all__ = [
     "AmbiguousMaximumWarning",
     "ComparisonReport",
     "CriterionReport",
-    "FisherReport",
     "GaussnError",
     "HEvaluation",
     "InputError",
@@ -94,7 +91,6 @@ __all__ = [
     "detect_remainder_order",
     "fisher_curvature_form",
     "fisher_gradient_form",
-    "fisher_report",
     "gaussian_reference",
     "h_closed_form",
     "h_derivative_numeric",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from ._lazy import LazyNumpy
 from .errors import InputError, UnsupportedModelError
 from .models import ModelSpec
-from .quadrature import QuadratureConfig
+from .quadrature import IntegrationResult, QuadratureConfig
 
 np = LazyNumpy(globals())
 
@@ -54,38 +54,46 @@ class HEvaluation:
 
 
 def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = None) -> HEvaluation:
-    """Evaluate H(delta) by quadrature over u, through the carrier's ``over_x``.
+    """Evaluate H(delta) = H_1(delta / scale) by quadrature over u.
 
-    Where the family's density has zeros (trig), the integrand diverges
-    logarithmically at the shifted zeros; those points are excised and
-    restored by the quadrature layer.  A line family is integrated about
-    u = 0 at its own scale, at an absolute tolerance tightened for small
-    shifts.
+    H does not change under u -> u / scale, so it is integrated on the
+    carrier's unit record (``_h_unit``).
     """
     family = model._family.carrier
     family.check_shift(delta)
     delta = float(delta)
+    res = _h_unit(family.unit, delta / family.scale, cfg)
+    return HEvaluation(delta, res.value, res.error_estimate)
+
+
+def _h_unit(unit, delta: float, cfg: QuadratureConfig | None):
+    """H_1(delta) on the unit record ``unit``, through its ``over_x``.
+
+    Where the density has zeros (trig), the integrand diverges
+    logarithmically at the shifted zeros; those points are excised and
+    restored by the quadrature layer.  A line family is integrated about
+    u = 0 at an absolute tolerance tightened for small shifts.
+    """
     if delta == 0.0:
-        return HEvaluation(0.0, 0.0, 0.0)  # integrand identically zero
+        return IntegrationResult(0.0, 0.0, 0)  # integrand identically zero
 
     def integrand(us):
-        p0 = np.exp(family.log_density(us, 0.0))
+        p0 = np.exp(unit.log_density(us, 0.0))
         with np.errstate(invalid="ignore"):
             # p ln(p'/p) -> 0 where p underflows; only that limit is masked,
             # a non-finite ratio against positive weight must surface
-            return np.where(p0 > 0.0, p0 * family.log_ratio(us, delta), 0.0)
+            return np.where(p0 > 0.0, p0 * unit.log_ratio(us, delta), 0.0)
 
-    points = None if family.zeros is None else family.zeros(-delta)
+    points = None if unit.zeros is None else unit.zeros(-delta)
     if points is None:
         # For small shifts H ~ -F delta^2 / 2 sits far below the default
         # absolute tolerance; tighten it so the nonpositivity theorem
         # survives the quadrature (the integrand scale shrinks with delta,
         # so the tighter target stays reachable).
         cfg = cfg or QuadratureConfig()
-        predicted = 0.5 * family.fisher * delta * delta
+        predicted = 0.5 * unit.fisher * delta * delta
         cfg = dataclasses.replace(cfg, abs_tol=min(cfg.abs_tol, max(1e-3 * predicted, 1e-17)))
-    res = family.over_x(integrand, 0.0, cfg, points)
-    return HEvaluation(delta, res.value, res.error_estimate)
+    return unit.over_x(integrand, cfg, points)
 
 
 def h_closed_form(model: ModelSpec, delta: float) -> float:
@@ -101,18 +109,22 @@ def h_derivative_numeric(
 ) -> float:
     """Central finite difference of the quadrature H, Richardson extrapolated once.
 
-    Steps: 1e-4 for orders 1 and 2, 1e-2 for orders 3 and 4 (the higher
-    orders divide by h^3, h^4 and need the larger step to stay above the
-    quadrature noise).  The inner quadrature runs at a tightened tolerance
-    for the same reason.
+    The stencil runs on the carrier's unit record at delta / scale, and
+    H^(order)(delta) = H_1^(order)(delta / scale) / scale^order.  Steps, in
+    units of the scale: 1e-4 for orders 1 and 2, 1e-2 for orders 3 and 4
+    (the higher orders divide by h^3, h^4 and need the larger step to stay
+    above the quadrature noise).  The inner quadrature runs at a tightened
+    tolerance for the same reason.
     """
     if not 1 <= order <= 4:
         raise InputError("numeric derivatives support orders 1 through 4")
     family = model._family.carrier
+    unit, scale = family.unit, family.scale
     h = 1e-4 if order <= 2 else 1e-2
     family.check_shift(delta)
     if family.period is not None and abs(delta) + 2.0 * h > family.period:
         raise InputError("delta too close to the period boundary for the stencil")
+    delta = delta / scale
     base = cfg or QuadratureConfig()
     inner = dataclasses.replace(
         base, abs_tol=min(base.abs_tol, 1e-13), rel_tol=min(base.rel_tol, 1e-13)
@@ -122,7 +134,7 @@ def h_derivative_numeric(
     def hv(d):
         d = round(d, 15)
         if d not in cache:
-            cache[d] = h_functional(model, d, inner).value
+            cache[d] = _h_unit(unit, d, inner).value
         return cache[d]
 
     def stencil(hh):
@@ -144,7 +156,7 @@ def h_derivative_numeric(
 
     coarse = stencil(h)
     fine = stencil(h / 2.0)
-    return float((4.0 * fine - coarse) / 3.0)
+    return float((4.0 * fine - coarse) / 3.0) / scale**order
 
 
 def max_abs_derivative(model: ModelSpec, order: int, interval_halfwidth: float) -> float:

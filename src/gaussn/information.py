@@ -13,8 +13,10 @@ their agreement is a real cross-check:
   integrated against the density.  Log singularities of the shifted stencil
   arms are excised and restored by the quadrature layer.
 
-Both integrate over the observations through the family record's
-``over_x``, about xi (a line family in its own frame, at its scale).
+Both run on the family's unit record, integrating over the observations
+through its ``over_x`` at its ``nudge`` of xi (xi = 0 on a line family), and
+apply the scale once: under x -> x / sigma a shift family's F is exactly
+F_1 / sigma^2.  So the finite-difference steps never need to follow sigma.
 
 Both forms are independent of xi for every bundled model; the constant
 prior measure is sqrt(F) with the proportionality constant fixed to 1 (it
@@ -25,20 +27,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 from ._lazy import LazyNumpy
-from .errors import InputError
 from .models import ModelSpec, _check_xi
 from .quadrature import QuadratureConfig
 
 np = LazyNumpy(globals())
 
 __all__ = [
-    "FisherReport",
     "fisher_gradient_form",
     "fisher_curvature_form",
-    "fisher_report",
     "prior_measure",
 ]
 
@@ -49,28 +47,16 @@ _CURV_STEP = 1e-4
 # h^2), so the integrands carry irreducible pointwise noise.  Quadrature
 # cannot certify tolerances below that floor; the noise is zero-mean, so the
 # returned values are still far more accurate than the floor itself.  The
-# floor scales with the expected result so that small-Fisher models (wide
-# Gaussians) are not asked for meaningless absolute accuracy.
+# floor is a fraction of the expected result, F of the unit record (at
+# least 1), so neither tolerance asks for accuracy below the noise.
 _GRAD_TOL_FLOOR = 1e-9
 _CURV_TOL_FLOOR = 5e-8
 
 
-def _floored(family, cfg: QuadratureConfig | None, floor: float) -> QuadratureConfig:
+def _floored(unit, cfg: QuadratureConfig | None, floor: float) -> QuadratureConfig:
     cfg = cfg or QuadratureConfig()
-    f = family.fisher
-    # Tighten for small results (wide Gaussians, F << abs_tol), but never
-    # below the stencil noise, a fraction ``floor`` of F at every scale (the
-    # steps grow with a wide family's scale).
-    abs_eff = max(min(cfg.abs_tol, f * cfg.rel_tol), f * floor)
-    return dataclasses.replace(cfg, abs_tol=abs_eff, rel_tol=max(cfg.rel_tol, floor))
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    gradient_form: float
-    curvature_form: float
-    xi_probe_values: tuple[float, ...]
-    max_xi_variation: float
+    abs_tol = max(cfg.abs_tol, unit.fisher * floor)
+    return dataclasses.replace(cfg, abs_tol=abs_tol, rel_tol=max(cfg.rel_tol, floor))
 
 
 def _score_fd(family, xs, xi: float, p, h: float):
@@ -95,17 +81,15 @@ def _score_fd(family, xs, xi: float, p, h: float):
 def fisher_gradient_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
     """Expected squared score, E[(d/dxi ln p)^2]."""
     _check_xi(model, xi)
-    family = model._family
-    # The base steps assume unit length scale; the Gaussian family's scale
-    # is sigma, and a fixed step drowns in roundoff once sigma is large.
-    h = _GRAD_STEP * max(1.0, family.scale)
-    xi = family.nudge(xi)
+    unit = model._family.unit
+    xi = unit.nudge(xi)
 
     def integrand(xs):
-        p = family.density(xs, xi)
-        return p * _score_fd(family, xs, xi, p, h) ** 2
+        p = unit.density(xs, xi)
+        return p * _score_fd(unit, xs, xi, p, _GRAD_STEP) ** 2
 
-    return family.over_x(integrand, xi, _floored(family, cfg, _GRAD_TOL_FLOOR)).value
+    f1 = unit.over_x(integrand, _floored(unit, cfg, _GRAD_TOL_FLOOR)).value
+    return f1 / model._family.scale**2
 
 
 def _curvature_stencil(family, xs, xi: float, ld, h: float):
@@ -116,45 +100,21 @@ def _curvature_stencil(family, xs, xi: float, ld, h: float):
 def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
     """Negative expected curvature of the log density, -E[d^2/dxi^2 ln p]."""
     _check_xi(model, xi)
-    family = model._family
-    h = _CURV_STEP * max(1.0, family.scale)
-    xi = family.nudge(xi)
+    unit = model._family.unit
+    h = _CURV_STEP
+    xi = unit.nudge(xi)
 
     def integrand(xs):
-        ld = family.log_density(xs, xi)
-        return np.exp(ld) * _curvature_stencil(family, xs, xi, ld, h)
+        ld = unit.log_density(xs, xi)
+        return np.exp(ld) * _curvature_stencil(unit, xs, xi, ld, h)
 
     points = None
-    if family.zeros is not None:
+    if unit.zeros is not None:
         # The stencil arms ln p(x | xi -+ h) diverge at h-shifted images of
         # the density zeros; the zeros themselves are harmless but sharp.
-        points = [s for z in family.zeros(xi) for s in (z - h, z, z + h)]
-    return -family.over_x(integrand, xi, _floored(family, cfg, _CURV_TOL_FLOOR), points).value
-
-
-def fisher_report(
-    model: ModelSpec,
-    xi_values=None,
-    cfg: QuadratureConfig | None = None,
-) -> FisherReport:
-    """Evaluate both forms at the first probe and the gradient form across all.
-
-    ``max_xi_variation`` is the spread of the gradient form over the probes,
-    a direct check of the xi-independence that form invariance guarantees.
-    """
-    if xi_values is None:
-        xi_values = default_probe_points(model)
-    xi_values = tuple(float(x) for x in xi_values)
-    if not xi_values:
-        raise InputError("at least one probe point is required")
-    grads = [fisher_gradient_form(model, x, cfg) for x in xi_values]
-    curv = fisher_curvature_form(model, xi_values[0], cfg)
-    return FisherReport(
-        gradient_form=grads[0],
-        curvature_form=curv,
-        xi_probe_values=xi_values,
-        max_xi_variation=float(np.max(np.abs(np.asarray(grads) - grads[0]))),
-    )
+        points = [s for z in unit.zeros(xi) for s in (z - h, z, z + h)]
+    f1 = -unit.over_x(integrand, _floored(unit, cfg, _CURV_TOL_FLOOR), points).value
+    return f1 / model._family.scale**2
 
 
 def default_probe_points(model: ModelSpec, count: int = 10) -> tuple[float, ...]:

@@ -19,14 +19,16 @@ Each family is one private record here (a ``_Family`` subclass, built per
 ``divergence``, ``information`` and ``posterior`` are generic code reading
 it.  A record holds the domains and the Fisher information; the log
 density, sampler, ML estimator and sample log-likelihood on a grid; the
-length scale (sigma for gauss, 1 otherwise), a line family's tail and the
-probe span; the discrete support (binom) and the period (trig, binom); the
-carrier whose H it uses (binom -> trig); and, on carriers, the closed H,
-its derivatives and closed maxima, the stable log ratio and the density
-zeros where the H and curvature integrands are singular (trig).  Its
-``over_x`` is every integral over the observations (normalization, both
-Fisher forms, H), and the only caller of the integrators.  All
-operations are pure; sampling is deterministic given the seed.
+length scale (sigma for gauss, 1 otherwise), the record at unit scale, a
+line family's tail and the probe span; the discrete support (binom) and the
+period (trig, binom); the carrier whose H it uses (binom -> trig); and, on
+carriers, the closed H, its derivatives and closed maxima, the stable log
+ratio and the density zeros where the H and curvature integrands are
+singular (trig).  The ``over_x`` of a unit record is every integral over
+the observations (normalization, both Fisher forms, H), and the only caller
+of the integrators; the numeric routes apply the scale once, by change of
+variables.  All operations are pure; sampling is deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ class _Family:
     """
 
     scale = 1.0  # length scale of x and xi
-    tail = None  # line families: half-width, in units of scale, beyond which p is negligible
+    tail = None  # line families: half-width about 0 beyond which the unit record's p is negligible
     support = None  # the observation values of a discrete family
     period = None  # the period in xi of a periodic likelihood
     # Carriers: H(delta), H^(order)(delta), max |H^(order)| on |delta| <= w
@@ -213,31 +215,41 @@ class _Family:
         """The family whose H this one uses."""
         return self
 
+    @property
+    def unit(self) -> _Family:
+        """This family at scale 1, which the numeric routes integrate.
+
+        Under x -> x / scale, F = F_1 / scale^2 and H(delta) = H_1(delta / scale).
+        """
+        return self
+
     def density(self, x, xi):
         return np.exp(self.log_density(x, xi))
 
-    def nudge(self, xi):  # where to evaluate the Fisher forms in place of xi
-        return xi
+    def nudge(self, xi):
+        """Where the numeric routes evaluate in place of xi.
 
-    def over_x(self, f, centre: float, cfg: QuadratureConfig | None = None, log_points=None):
+        F and the total probability do not depend on xi: a line family is
+        evaluated at xi = 0, the centre of its integration window.
+        """
+        return xi if self.tail is None else 0.0
+
+    def over_x(self, f, cfg: QuadratureConfig | None = None, log_points=None):
         """The integral of ``f`` (array of x to values) over the observations.
 
         A discrete family sums over its support (error estimate 0);
         ``log_points``, the x where ``f`` diverges logarithmically, are
-        excised and restored.  A line family is integrated in its own frame,
-        as the integral of s f(centre + s t) dt with s = ``scale``, truncated
-        at |t| = ``tail`` (the family's window replaces ``cfg.tail_cutoff``):
-        the density sits at the centre of the first panels at any scale.
+        excised and restored.  A line family is truncated at |x| = ``tail``
+        (the family's window replaces ``cfg.tail_cutoff``), which holds its
+        unit record's density at xi = 0.
         """
         if self.support is not None:
             return IntegrationResult(float(np.sum(f(np.array(self.support)))), 0.0, 0)
         if log_points is not None:
             return integrate_with_log_singularity(f, self.x_domain, log_points, cfg)
-        if self.tail is None:
-            return integrate(f, self.x_domain, cfg)
-        s = self.scale
-        window = dataclasses.replace(cfg or QuadratureConfig(), tail_cutoff=self.tail)
-        return integrate(lambda ts: s * f(centre + s * ts), self.x_domain, window)
+        if self.tail is not None:
+            cfg = dataclasses.replace(cfg or QuadratureConfig(), tail_cutoff=self.tail)
+        return integrate(f, self.x_domain, cfg)
 
     def check_shift(self, delta: float):
         if self.period is not None and abs(delta) > self.period:
@@ -326,6 +338,10 @@ class _Gauss(_Family):
         self.sigma = sigma
         self.fisher = 1.0 / sigma**2
         self.scale = sigma
+
+    @property
+    def unit(self) -> _Gauss:
+        return self if self.sigma == 1.0 else _Gauss(1.0)
 
     def log_density(self, x, xi):
         s2 = self.sigma**2
@@ -529,10 +545,15 @@ def log_density(model: ModelSpec, x: float, xi: float) -> float:
 
 
 def normalization_check(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
-    """Total probability over the observation domain; must come out 1."""
+    """Total probability over the observation domain; must come out 1.
+
+    It does not change under x -> x / scale, nor with xi, so it is the
+    unit record's, at its ``nudge`` of xi.
+    """
     _check_xi(model, xi)
-    family = model._family
-    return family.over_x(lambda xs: family.density(xs, xi), xi, cfg).value
+    unit = model._family.unit
+    xi = unit.nudge(xi)
+    return unit.over_x(lambda xs: unit.density(xs, xi), cfg).value
 
 
 def ml_estimate(model: ModelSpec, obs: Observations) -> float:

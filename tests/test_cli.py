@@ -269,7 +269,7 @@ def test_extreme_sigma_is_a_typed_failure(capsys, command, sigma):
     [
         (("--sigma", "inf"), 2),
         (("--sigma", "1e-300"), 2),
-        (("--sigma", "1e-6"), 3),  # finite-difference steps do not shrink below 1e-5
+        (("--sigma", "1e-6"), 0),
         (("--sigma", "1e8", "--xi", "5"), 0),
         (("--sigma", "1e12"), 0),
     ],
@@ -281,8 +281,9 @@ def test_fisher_extreme_sigma_exit_codes(capsys, argv, want):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--model", "gauss", "--sigma", "1e-8", "--xi", "0.3"),  # the score underflows to 0
-        ("--model", "gauss", "--sigma", "1e-7", "--xi", "0.3"),
+        # chi2log is a location family: the coarse rule fails at every xi
+        ("--model", "chi2log", "--xi", "-3", "--quad-tol", "1e-2"),
+        ("--model", "chi2log", "--quad-tol", "1e-1"),
         ("--model", "chi2log", "--xi", "1.1", "--quad-tol", "1e-2"),  # forms 99.8 % apart
     ],
 )
@@ -290,6 +291,30 @@ def test_fisher_refuses_forms_that_disagree(capsys, argv):
     code, err = _typed_failure(capsys, ["fisher", *argv])
     assert code == 3
     assert "gradient_form" in err and "curvature_form" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--sigma", "1e-6"),
+        ("--sigma", "1e-7", "--xi", "0.3"),
+        ("--sigma", "1e-8", "--xi", "0.3"),
+        ("--sigma", "1e-20", "--xi", "0.3"),
+        ("--sigma", "1e20", "--xi", "5"),
+        ("--sigma", "1e-5"),
+    ],
+)
+def test_fisher_is_one_over_sigma_squared_at_every_scale(capsys, argv):
+    # Steps grown by max(1, sigma) stayed at 1e-5 for narrow families: the
+    # score underflowed to 0 (exit 3 from 1e-6 down) or lost 5.4e-4 (1e-5),
+    # and 1e20 at xi = 5 exited 3 too.  The unit record's F over sigma^2
+    # holds at every scale.
+    code, out, err = run_cli(capsys, "fisher", "--model", "gauss", *argv)
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    want = 1.0 / float(argv[1]) ** 2
+    for form in ("gradient_form", "curvature_form"):
+        assert results[form] == pytest.approx(want, rel=1e-6, abs=0), form
 
 
 def test_infinite_sigma_is_a_usage_error_for_every_model(capsys):

@@ -255,3 +255,12 @@ def test_gauss_h_at_narrow_and_wide_scales(sigma, ratio):
     model = make_model("gauss", sigma=sigma)
     delta = ratio * sigma
     assert h_functional(model, delta).value == pytest.approx(h_closed_form(model, delta), abs=1e-9)
+
+
+@pytest.mark.parametrize("order,unit_value", [(1, -0.3), (2, -1.0), (3, 0.0), (4, 0.0)])
+def test_gauss_numeric_derivatives_follow_sigma(order, unit_value):
+    # H(delta) = H_1(delta / sigma), so sigma^k H^(k)(delta) is the unit
+    # derivative at delta / sigma = 0.3, where H_1 = -d^2 / 2.  Steps fixed in
+    # delta, not in delta / sigma, read 1.10 for order 4 at sigma = 50.
+    got = h_derivative_numeric(make_model("gauss", sigma=50.0), order, 15.0)
+    assert got * 50.0**order == pytest.approx(unit_value, abs=1e-3)

@@ -5,11 +5,11 @@ import pytest
 from gaussn import (
     fisher_curvature_form,
     fisher_gradient_form,
-    fisher_report,
     make_model,
     normalization_check,
     prior_measure,
 )
+from gaussn.information import default_probe_points
 
 
 def test_gradient_form_examples(chi2, binom):
@@ -33,21 +33,26 @@ def test_prior_measure(chi2, trig, binom):
     assert prior_measure(make_model("gauss", sigma=4.0)) == pytest.approx(0.25)
 
 
-def test_fisher_report(trig):
-    rep = fisher_report(trig)
-    assert rep.gradient_form == pytest.approx(4.0, abs=1e-5)
-    assert rep.curvature_form == pytest.approx(4.0, abs=1e-5)
-    assert abs(rep.gradient_form - rep.curvature_form) <= 1e-5
-    assert rep.max_xi_variation <= 1e-5
-    assert len(rep.xi_probe_values) == 10
+def test_fisher_forms_across_trig_probe_points(trig):
+    # trig is still evaluated at xi: the gradient form is the same at every
+    # probe, and both forms agree at the first.
+    probes = default_probe_points(trig)
+    assert len(probes) == 10
+    grads = [fisher_gradient_form(trig, float(xi)) for xi in probes]
+    curv = fisher_curvature_form(trig, float(probes[0]))
+    assert grads[0] == pytest.approx(4.0, abs=1e-5)
+    assert curv == pytest.approx(4.0, abs=1e-5)
+    assert abs(grads[0] - curv) <= 1e-5
+    assert max(abs(g - grads[0]) for g in grads) <= 1e-5
 
 
 def test_wide_gaussian_scales(gauss):
-    # The FD step and the truncation window scale with sigma, and the
-    # tolerance floor is a fraction of F at every scale, so precision does
-    # not collapse for wide families (a floor grown with sigma let the
-    # curvature form drift to 1.08 F at sigma = 1e8).
-    for s in (20.0, 1e3, 1e8, 1e12):
+    # Both forms run on the unit record and divide by sigma^2 once, so
+    # neither steps nor windows follow sigma and precision holds at every
+    # scale (steps grown with sigma underflowed the score at sigma = 1e-8,
+    # and a floor grown with sigma let the curvature form drift to 1.08 F
+    # at sigma = 1e8).
+    for s in (1e-20, 20.0, 1e3, 1e8, 1e12, 1e20):
         model = make_model("gauss", sigma=s)
         want = 1.0 / s**2
         assert fisher_gradient_form(model, 0.3 * s) == pytest.approx(want, rel=1e-7, abs=0)
@@ -64,12 +69,12 @@ def test_binomial_degenerate_parameter_is_nudged(binom):
 
 # Bit patterns of both forms at xi = 0.3, recorded before the quadrature
 # evaluated both halves of a split in one integrand call (chi2log and gauss
-# re-recorded when line families were integrated in their own frame, about
-# xi).  Any change to the partition, the summation order or the integrand
-# arithmetic shows here.
+# re-recorded when line families were evaluated on their unit record at
+# xi = 0, so theirs are the xi = 0 bits).  Any change to the partition, the
+# summation order or the integrand arithmetic shows here.
 FROZEN_FISHER = {
-    "chi2log": (0.9999999999893634, 1.0000000008928465),
-    "gauss": (1.000000000009663, 0.9999999965402259),
+    "chi2log": (0.9999999999972502, 1.0000000008784118),
+    "gauss": (0.9999999999864819, 0.9999999932757442),
     "trig": (3.9999999999839475, 3.999999991540256),
     "binom": (3.9999999999793614, 4.000000104190075),
 }
@@ -90,12 +95,17 @@ LINE_XI = (0.0, 0.3, -0.3, 1.1, 5.0, 20.0, 100.0, 1000.0, -1000.0)
 @pytest.mark.parametrize("name,sigma", LINE_FAMILIES)
 @pytest.mark.parametrize("xi", LINE_XI)
 def test_line_families_away_from_the_origin_and_unit_scale(name, sigma, xi):
-    # A line family is integrated in its own frame, about xi at its scale:
-    # a window fixed about x = 0 missed a narrow density, or met only a zero
-    # of the integrand, and "converged" to 0.
+    # A line family is integrated on its unit record at xi = 0: a window
+    # fixed about x = 0 at the family's own scale and xi missed a narrow
+    # density, or met only a zero of the integrand, and "converged" to 0.
     model = make_model(name, sigma=sigma)
     f = model.analytic_fisher
     assert fisher_gradient_form(model, xi) == pytest.approx(f, rel=1e-6, abs=0)
     assert fisher_curvature_form(model, xi) == pytest.approx(f, rel=1e-6, abs=0)
     assert normalization_check(model, xi) == pytest.approx(1.0, abs=1e-10)
 
+
+def test_narrow_gaussian_normalization():
+    # Integrated about xi = 0.3 at scale 1e-20, 0.3 + 1e-20 t rounds to 0.3
+    # for every t: the integrand was flat and the tail check raised.
+    assert normalization_check(make_model("gauss", sigma=1e-20), 0.3) == pytest.approx(1.0, abs=1e-12)

@@ -22,7 +22,7 @@ from gaussn import (
     normalization_check,
     sample,
 )
-from gaussn.models import _trig_inverse_cdf, _trig_log_lik
+from gaussn.models import _Gauss, _trig_inverse_cdf, _trig_log_lik
 
 from frozen_trig_sampler import bisect_inverse_cdf, sample_by_bisection
 
@@ -60,6 +60,20 @@ def test_log_density_matches_density(chi2, gauss):
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sigma", [1e-20, 0.01, 2.0, 1e20])
+def test_gauss_record_is_its_unit_record_rescaled(sigma):
+    # The sigma record serves sampling, ML, the posterior grid and the
+    # criterion; the numeric routes integrate its unit record instead, which
+    # is exact only if p_sigma(x | xi) = p_1((x - xi) / sigma | 0) / sigma.
+    record = _Gauss(sigma)
+    unit = record.unit
+    assert (unit.sigma, unit.scale, unit.unit) == (1.0, 1.0, unit)
+    rng = np.random.default_rng(6)
+    x, xi = (rng.uniform(-3.0, 3.0, 50) * sigma for _ in range(2))
+    want = unit.log_density((x - xi) / sigma, 0.0) - math.log(sigma)
+    np.testing.assert_allclose(record.log_density(x, xi), want, rtol=1e-13, atol=0)
 
 
 def test_normalization_examples(chi2, trig, binom):

@@ -39,6 +39,10 @@ def _commands():
     for xi in ("100", "-1000"):
         cmds.append(("fisher", "--model", "chi2log", "--xi", xi))
     cmds.append(("fisher", "--model", "gauss", "--xi", "1000"))
+    # Scales far from 1 on both sides, where fisher is the unit record's
+    # value rescaled.
+    cmds.append(("fisher", "--model", "gauss", "--sigma", "1e-20", "--xi", "0.3"))
+    cmds.append(("fisher", "--model", "gauss", "--sigma", "1e20", "--xi", "5"))
     cmds.append(("criterion", "--model", "gauss", "--sigma", "1e-20"))
     cmds.append(("verify", "--format", "json"))
     for model in MODELS:
