@@ -35,6 +35,8 @@ COMMANDS = (
     ("table", "--model", "chi2log", "--n", "3,160"),
     ("posterior", "--model", "trig", "--xi-true", "0.3", "--n", "2000", "--seed", "7"),
     ("fisher", "--model", "trig"),
+    ("fisher", "--model", "chi2log"),
+    ("verify", "--suite", "h"),
 )
 
 

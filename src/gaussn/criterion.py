@@ -18,8 +18,9 @@ is fourth order and
 
     r4(N) = 3 |H''''|_max / (4 N F^2).
 
-The order is read off the carrier's closed H (``detect_remainder_order``),
-so nothing in this module runs quadrature.
+Each carrier record declares its order (``order``: 3 for chi2log, 4 for
+gauss and trig; binom reads its trig carrier's), and |H^(k)|_max comes from
+the carrier's closed forms, so nothing in this module runs quadrature.
 
 ``paper_rounding`` mode compares the ratio after rounding to three decimals
 (the convention of the published reference table, which makes N = 160 the
@@ -73,21 +74,15 @@ class CriterionReport:
 
 @lru_cache(maxsize=None)
 def detect_remainder_order(model: ModelSpec) -> int:
-    """4 when H is mirror symmetric with vanishing third derivative, else 3.
+    """The order of the Taylor remainder of H at 0, as the carrier declares it.
 
-    Read off the carrier's closed forms, exact at any scale: 3 when
-    |H'''(0)| > 1e-4 F^(3/2) or |H(-p) - H(p)| > 1e-8 at p = 0.2, 0.45 or
-    0.7, else 4.  For an H that is mirror symmetric with a kink at 0, such
-    as the Laplace shift family's -(|d| + e^(-|d|) - 1) (remainder
-    |d|^3 / 6), this gives 3 only if the record reports H'''(0) one-sided.
+    4 where H is even and smooth at 0 (gauss, trig, and binom through its
+    trig carrier), 3 otherwise (chi2log).  Declared rather than inferred
+    from H, it also holds where H is even with a kink at 0, such as the
+    Laplace shift family's -(|d| + e^(-|d|) - 1), whose remainder |d|^3 / 6
+    is third order.
     """
-    family = model._family.carrier
-    if abs(family.h_derivative(3, 0.0)) > 1e-4 * model.analytic_fisher**1.5:
-        return 3
-    for probe in (0.2, 0.45, 0.7):
-        if abs(family.h(-probe) - family.h(probe)) > 1e-8:
-            return 3
-    return 4
+    return model._family.carrier.order
 
 
 def _remainder_terms(model: ModelSpec, n: int) -> tuple[float, float, float, int, float, float]:

@@ -22,13 +22,13 @@ density, sampler, ML estimator and sample log-likelihood on a grid; the
 length scale (sigma for gauss, 1 otherwise), the record at unit scale, a
 line family's tail and the probe span; the discrete support (binom) and the
 period (trig, binom); the carrier whose H it uses (binom -> trig); and, on
-carriers, the closed H, its derivatives and closed maxima, the stable log
-ratio and the density zeros where the H and curvature integrands are
-singular (trig).  The ``over_x`` of a unit record is every integral over
-the observations (normalization, both Fisher forms, H), and the only caller
-of the integrators; the numeric routes apply the scale once, by change of
-variables.  All operations are pure; sampling is deterministic given the
-seed.
+carriers, the order of H's Taylor remainder, the closed H, its derivatives
+and closed maxima, the stable log ratio and the density zeros where the H
+and curvature integrands are singular (trig).  The ``over_x`` of a unit
+record is every integral over the observations (normalization, both
+Fisher forms, H), and the only caller of the integrators; the numeric
+routes apply the scale once, by change of variables.  All operations are
+pure; sampling is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -196,10 +196,11 @@ class _Family:
     tail = None  # line families: half-width about 0 beyond which the unit record's p is negligible
     support = None  # the observation values of a discrete family
     period = None  # the period in xi of a periodic likelihood
-    # Carriers: H(delta), H^(order)(delta), max |H^(order)| on |delta| <= w
-    # (None if not closed), ln p(u + delta) - ln p(u) without cancellation
+    # Carriers: the order of H's Taylor remainder at 0 (4 where H is even and
+    # smooth, else 3), H(delta), H^(order)(delta), max |H^(order)| on |delta|
+    # <= w (None if not closed), ln p(u + delta) - ln p(u) without cancellation
     # (the sign of H holds down to |delta| ~ 1e-8), zeros in x of p(x | xi).
-    h = h_derivative = h_max = log_ratio = zeros = None
+    order = h = h_derivative = h_max = log_ratio = zeros = None
 
     def __init__(self, sigma: float):
         if not math.isfinite(sigma):
@@ -259,6 +260,7 @@ class _Family:
 class _Chi2Log(_Family):
     x_domain = xi_domain = (-math.inf, math.inf)
     fisher = 1.0
+    order = 3  # H''' = -e^delta is -1 at 0
     tail = 40.0
     probe_span = (-3.0, 3.0)
 
@@ -320,6 +322,7 @@ class _Chi2Log(_Family):
 
 class _Gauss(_Family):
     x_domain = xi_domain = (-math.inf, math.inf)
+    order = 4  # H is exactly quadratic
     tail = 12.0
     probe_span = (-3.0, 3.0)
 
@@ -375,6 +378,7 @@ class _Gauss(_Family):
 class _Trig(_Family):
     x_domain = xi_domain = (-_HALF_PI, _HALF_PI)
     fisher = 4.0
+    order = 4  # H is even
     probe_span = (-1.4, 1.4)
     period = math.pi
 

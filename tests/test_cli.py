@@ -390,6 +390,22 @@ def test_paper_rounding_below_its_step_is_a_usage_error(capsys):
     assert code == 2 and "--mode strict" in err
 
 
+@pytest.mark.parametrize("model", ["trig", "binom"])
+def test_paper_rounding_warns_within_ten_steps(capsys, model):
+    # Rounded to 3 decimals, the raw ratio 3 / (4 * 501), 50 % over the
+    # threshold, passes 0.001 at N = 501; the raw ratio first holds at 750.
+    code, out, err = run_cli(capsys, "criterion", "--model", model, "--threshold", "0.001")
+    results = json.loads(out)["results"]
+    assert (code, results["minimal_n"]) == (0, 501)
+    assert results["report"]["ratio_raw"] == pytest.approx(3.0 / 2004.0, rel=1e-12)
+    assert err.startswith("warning: ") and len(err.splitlines()) == 1, err
+    assert "--mode strict" in err
+    strict = run_cli(capsys, "criterion", "--model", model, "--threshold", "0.001", "--mode", "strict")
+    assert (strict[0], json.loads(strict[1])["results"]["minimal_n"], strict[2]) == (0, 750, "")
+    for threshold in ("0.005", "0.1"):
+        assert run_cli(capsys, "criterion", "--model", model, "--threshold", threshold)[2] == ""
+
+
 def test_negative_seed_is_a_usage_error(capsys):
     argv = ["posterior", "--model", "trig", "--xi-true", "0.3", "--n", "5", "--seed", "-1"]
     code, err = _typed_failure(capsys, argv)
@@ -398,8 +414,8 @@ def test_negative_seed_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("sigma", ["1e-20", "1e20"])
 def test_gauss_minimal_n_is_one_at_any_scale(capsys, sigma):
-    # The remainder order is read off the closed H, which is exact at any
-    # scale, and the ratio of an exactly quadratic H is 0.
+    # The gauss record declares order 4 at every scale, and the ratio of an
+    # exactly quadratic H is 0.
     code, out, _ = run_cli(capsys, "criterion", "--model", "gauss", "--sigma", sigma)
     assert code == 0
     assert json.loads(out)["results"]["minimal_n"] == 1

@@ -1,16 +1,12 @@
 import math
-from functools import cache
 
 import pytest
 
 from gaussn import (
     InputError,
-    ModelSpec,
     QuadratureError,
     criterion_report,
     detect_remainder_order,
-    h_derivative_numeric,
-    h_functional,
     make_model,
     minimal_n,
     remainder_ratio,
@@ -30,32 +26,6 @@ def test_remainder_orders(chi2, gauss, trig, binom):
     assert detect_remainder_order(gauss) == 4
     assert detect_remainder_order(trig) == 4
     assert detect_remainder_order(binom) == 4
-
-
-@cache
-def _quadrature_order(model_id) -> int:
-    """The remainder order measured on the quadrature H, the criterion's
-    former test: an extrapolated stencil for the third derivative at 0,
-    then mirror probes.  The probes are absolute shifts, so the test runs
-    on the unit-scale member."""
-    model = ModelSpec(model_id)
-    f = model.analytic_fisher
-    if abs(h_derivative_numeric(model, 3, 0.0)) > 1e-4 * f**1.5:
-        return 3
-    for probe in (0.2, 0.45, 0.7):
-        if abs(h_functional(model, -probe).value - h_functional(model, probe).value) > 1e-8:
-            return 3
-    return 4
-
-
-@pytest.mark.parametrize(
-    "name,sigma",
-    [("chi2log", 1.0), ("trig", 1.0), ("binom", 1.0)]
-    + [("gauss", s) for s in (1e-20, 0.5, 1.0, 2.0, 1e20)],
-)
-def test_closed_form_order_matches_quadrature(name, sigma):
-    model = make_model(name, sigma=sigma)
-    assert detect_remainder_order(model) == _quadrature_order(model.id)
 
 
 def test_criterion_runs_no_quadrature(monkeypatch):

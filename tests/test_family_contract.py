@@ -2,9 +2,10 @@
 
 Each row checks a record against its own definitions, on every record it
 applies to: each entry of ``models._FAMILIES`` at every sigma of ``SIGMAS``
-it accepts, and the test-only Laplace shift family below.  Rows on H run on
-the records that have their own (binom borrows trig's).  Beyond its record,
-a family needs an entry in ``DEFINITIONS``, written apart from the record.
+it accepts (the order row adds 1e-20 and 1e20), and the test-only Laplace
+shift family below.  Rows on H run on the records that have their own
+(binom borrows trig's).  Beyond its record, a family needs an entry in
+``DEFINITIONS``, written apart from the record.
 Laplace rows that fail are strict xfails in ``LEAKS``, with measured reasons."""
 
 import math
@@ -41,6 +42,7 @@ class Laplace(_Family):
 
     x_domain = xi_domain = (-math.inf, math.inf)
     fisher = 1.0
+    order = 3  # H is even, but its kink at 0 leaves a remainder |d|^3 / 6
     tail = 40.0
     probe_span = (-3.0, 3.0)
 
@@ -71,16 +73,15 @@ class Laplace(_Family):
         return np.abs(us) - np.abs(us + delta)
 
 
-class LaplaceMeanAtKink(Laplace):
-    """Laplace, reporting the mean of both one-sided derivatives at the kink."""
+class LaplaceOrderFour(Laplace):
+    """Laplace, declaring the fourth order that a smooth even H would have."""
 
-    def h_derivative(self, order, delta):
-        return 0.0 if delta == 0.0 and order % 2 else super().h_derivative(order, delta)
+    order = 4
 
 
 class ExtraFamily(Enum):
     LAPLACE = "laplace"
-    LAPLACE_MEAN_AT_KINK = "laplace-mean-at-kink"
+    LAPLACE_ORDER_FOUR = "laplace-order-four"
 
 
 RECORDS = {**models._FAMILIES, ExtraFamily.LAPLACE: Laplace}
@@ -92,7 +93,7 @@ def extra_families():
     """The test-only records, registered in ``models._FAMILIES`` while this module runs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(models._FAMILIES, ExtraFamily.LAPLACE, Laplace)
-        patch.setitem(models._FAMILIES, ExtraFamily.LAPLACE_MEAN_AT_KINK, LaplaceMeanAtKink)
+        patch.setitem(models._FAMILIES, ExtraFamily.LAPLACE_ORDER_FOUR, LaplaceOrderFour)
         yield
 
 
@@ -101,11 +102,11 @@ def model(request, extra_families):
     return ModelSpec(*request.param)
 
 
-def records(applies=lambda family: True):
+def records(applies=lambda family: True, sigmas=SIGMAS):
     """Parametrize ``model`` over every (record, sigma) whose family ``applies``."""
     cases = []
     for key, record in RECORDS.items():
-        for sigma in SIGMAS:
+        for sigma in sigmas:
             try:
                 family = record(sigma)
             except InputError:
@@ -132,6 +133,9 @@ LEAKS = {
     "the kink: the curvature form reads -2.0e-8 for F = 1",
     "test_fisher_is_minus_quadrature_h_curvature[laplace]": "h_derivative_numeric(2, 0) "
     "differences the quadrature H at +-1e-4, which misses the kink, and reads 0.0 for -1",
+    "test_declared_order_matches_the_quadrature_h[laplace]": "a central stencil and mirror "
+    "probes see an even H as smooth: the stencil's H'''(0) is 7.2e-14 and H(-p) - H(p) is at "
+    "most 4.2e-17, so the measurement gives 4 for the remainder |d|^3 / 6",
 }
 
 
@@ -383,6 +387,24 @@ def test_periodic_posterior_is_invariant_under_the_period(model, t, n, seed):
     assert np.max(np.abs(a.densities - b.densities)) <= 1e-9 * np.max(a.densities)
 
 
+def _quadrature_order(model) -> int:
+    """The remainder order measured on the quadrature H: 3 when an
+    extrapolated stencil gives |H'''(0)| > 1e-4 F^(3/2), or when H(-p) and
+    H(p) differ by more than 1e-8 at p = 0.2, 0.45 or 0.7 scales; else 4."""
+    f, scale = model.analytic_fisher, model._family.scale
+    if abs(h_derivative_numeric(model, 3, 0.0)) > 1e-4 * f**1.5:
+        return 3
+    for p in (0.2, 0.45, 0.7):
+        if abs(h_functional(model, -p * scale).value - h_functional(model, p * scale).value) > 1e-8:
+            return 3
+    return 4
+
+
+@records(sigmas=SIGMAS + (1e-20, 1e20))
+def test_declared_order_matches_the_quadrature_h(model):
+    assert detect_remainder_order(model) == _quadrature_order(model)
+
+
 def _realised_sup(model, n: int) -> float:
     """sup of N |H(d) + F d^2 / 2| over the 3-sigma window |d| <= 3 / sqrt(N F)."""
     f = model.analytic_fisher
@@ -401,13 +423,15 @@ def test_remainder_bound_holds_at_minimal_n(model):
     assert _realised_sup(model, n) <= 4.5 * remainder_ratio(model, n) + 1e-12
 
 
-def test_laplace_order_needs_the_one_sided_third_derivative(extra_families):
-    # The criterion reads the remainder order off H'''(0).  From the right,
-    # H'''(0+) = 1 gives order 3 and N = 100, where the bound holds; the
-    # mean of both sides, 0, gives order 4 and N = 8, where it breaks.
+def test_laplace_declaring_order_four_fails_the_bound_row(extra_families):
+    # Declared 3, Laplace's minimal N at 0.1 is 100, where the bound holds.
+    # Declared 4, as its even H would suggest, it is 8, where the realised
+    # sup 1.245 breaks the bound 0.422, and the bound row catches it.
     right = ModelSpec(ExtraFamily.LAPLACE)
     assert (detect_remainder_order(right), minimal_n(right)) == (3, 100)
-    mean = ModelSpec(ExtraFamily.LAPLACE_MEAN_AT_KINK)
-    assert (detect_remainder_order(mean), minimal_n(mean)) == (4, 8)
-    assert _realised_sup(mean, 8) == pytest.approx(1.245, abs=1e-3)
-    assert 4.5 * remainder_ratio(mean, 8) == pytest.approx(0.422, abs=1e-3)
+    wrong = ModelSpec(ExtraFamily.LAPLACE_ORDER_FOUR)
+    assert (detect_remainder_order(wrong), minimal_n(wrong)) == (4, 8)
+    assert _realised_sup(wrong, 8) == pytest.approx(1.245, abs=1e-3)
+    assert 4.5 * remainder_ratio(wrong, 8) == pytest.approx(0.422, abs=1e-3)
+    with pytest.raises(AssertionError):
+        test_remainder_bound_holds_at_minimal_n(wrong)

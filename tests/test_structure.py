@@ -156,3 +156,18 @@ def test_numpy_loads_on_the_first_numeric_command():
     numpy_free = [[argv, code, loaded] for argv, code, loaded in facts["runs"][:-1]]
     assert numpy_free == [[argv, 0, False] for argv in NUMPY_FREE_COMMANDS]
     assert facts["runs"][-1] == [NUMERIC_COMMAND, 0, True]
+
+
+def test_cli_binds_no_numpy():
+    # Every value the commands print is a Python int, float, bool or str,
+    # so the command line needs numpy for nothing of its own.
+    from gaussn import cli
+
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    assert not names & {"np", "numpy", "LazyNumpy"}, names
+    assert not modules & {"numpy", "_lazy"}, modules
+    assert "np" not in vars(cli)
