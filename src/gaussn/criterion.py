@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .divergence import max_abs_derivative
-from .errors import InputError
+from .errors import InputError, UnsupportedModelError
 from .models import ModelId, ModelSpec
 
 __all__ = [
@@ -80,9 +80,13 @@ def detect_remainder_order(model: ModelSpec) -> int:
     trig carrier), 3 otherwise (chi2log).  Declared rather than inferred
     from H, it also holds where H is even with a kink at 0, such as the
     Laplace shift family's -(|d| + e^(-|d|) - 1), whose remainder |d|^3 / 6
-    is third order.
+    is third order.  A record that declares neither 3 nor 4 raises
+    UnsupportedModelError.
     """
-    return model._family.carrier.order
+    order = model._family.carrier.order
+    if order not in (3, 4):
+        raise UnsupportedModelError(f"{model.id.value} declares no remainder order of 3 or 4")
+    return order
 
 
 def _remainder_terms(model: ModelSpec, n: int) -> tuple[float, float, float, int, float, float]:

@@ -70,9 +70,9 @@ def _h_unit(unit, delta: float, cfg: QuadratureConfig | None):
     """H_1(delta) on the unit record ``unit``, through its ``over_x``.
 
     Where the density has zeros (trig), the integrand diverges
-    logarithmically at the shifted zeros; those points are excised and
-    restored by the quadrature layer.  A line family is integrated about
-    u = 0 at an absolute tolerance tightened for small shifts.
+    logarithmically at the shifted zeros; the quadrature layer splits the
+    integral there.  A line family is integrated about u = 0 at an absolute
+    tolerance tightened for small shifts.
     """
     if delta == 0.0:
         return IntegrationResult(0.0, 0.0, 0)  # integrand identically zero

@@ -10,8 +10,9 @@ their agreement is a real cross-check:
   density has zeros (the trigonometric model), where a differenced log
   squared would pick up a spurious ln^2 boundary layer of order 1e-4.
 * curvature form: a plain central second difference of the log density,
-  integrated against the density.  Log singularities of the shifted stencil
-  arms are excised and restored by the quadrature layer.
+  integrated against the density.  The quadrature layer splits the
+  integral at the log singularities of the shifted stencil arms and at
+  the density's zeros.
 
 Both run on the family's unit record, integrating over the observations
 through its ``over_x`` at its ``nudge`` of xi (xi = 0 on a line family), and

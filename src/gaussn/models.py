@@ -239,10 +239,10 @@ class _Family:
         """The integral of ``f`` (array of x to values) over the observations.
 
         A discrete family sums over its support (error estimate 0);
-        ``log_points``, the x where ``f`` diverges logarithmically, are
-        excised and restored.  A line family is truncated at |x| = ``tail``
-        (the family's window replaces ``cfg.tail_cutoff``), which holds its
-        unit record's density at xi = 0.
+        ``log_points``, the x where ``f`` diverges logarithmically or has a
+        kink, split the integral.  A line family is truncated at |x| =
+        ``tail`` (the family's window replaces ``cfg.tail_cutoff``), which
+        holds its unit record's density at xi = 0.
         """
         if self.support is not None:
             return IntegrationResult(float(np.sum(f(np.array(self.support)))), 0.0, 0)

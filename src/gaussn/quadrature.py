@@ -10,27 +10,20 @@ heuristic so that machine-converged panels are not refined forever).
 Unbounded ends are truncated at ``+-tail_cutoff`` after checking that the
 integrand is already negligible there.
 
-Integrands with isolated logarithmic divergences (``ln cos^2`` and friends)
-are handled by excising an ``epsilon`` interval around each declared singular
-point.  The excised mass matters at the 1e-7 level, so it is not dropped:
-the integrand next to each excision is fitted to
-
-    A2*ln(|u|)^2 + A1*ln(|u|) + A0,   u = distance to the singular point,
-
-and the fit is integrated in closed form over the excised interval.  The
-residual of that restoration is bounded empirically (fit mismatch at a
-held-out distance, scaled by the excision width, which grows like
-``epsilon*ln(epsilon)``) and added to the error estimate.
+Integrands with logarithmic divergences (``ln cos^2`` and friends) or kinks
+at known points are split there, as QUADPACK's QAGP does.  Each piece is
+integrated through a cubic change of variables whose derivative vanishes at
+both of its ends, which turns a divergence or kink at an end into a mild
+``(1 - s) ln(1 - s)`` term that a few bisections resolve.
 
 Integrand convention: callables receive a numpy array of abscissae and must
 return an array of values (all integrands in this package are numpy
 vectorized).
 
 Integrand calls: a split evaluates both halves in one call on their 30
-abscissae, and the probes of one excision (every side, held-out point
-included) take one call.  Each half is rated from its own 15 values by its
-own dot products, so the partition and the totals do not depend on how the
-abscissae are grouped into calls.
+abscissae.  Each half is rated from its own 15 values by its own dot
+products, so the partition and the totals do not depend on how the abscissae
+are grouped into calls.
 
 Determinism: panels are totalled in ascending interval order with
 compensated summation, so results do not depend on refinement scheduling.
@@ -104,18 +97,16 @@ class QuadratureConfig:
     """Tolerances and limits for the adaptive integrator.
 
     ``tail_cutoff`` is the truncation half-width used for unbounded
-    intervals; ``singularity_epsilon`` is the half-width of the interval
-    excised around each declared logarithmic singularity.
+    intervals.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
     tail_cutoff: float = 40.0
-    singularity_epsilon: float = 1e-8
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "tail_cutoff", "singularity_epsilon"):
+        for name in ("abs_tol", "rel_tol", "tail_cutoff"):
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be strictly positive")
         if self.max_subdivisions <= 0:
@@ -263,60 +254,6 @@ def integrate(f, interval, cfg: QuadratureConfig | None = None) -> IntegrationRe
     return _adaptive(f, a, b, cfg)
 
 
-def _fit_log_poly(f, s0, sides, eps):
-    """Fit f(s0 + u) ~ A2 ln^2|u| + A1 ln|u| + A0 next to an excision.
-
-    Sampling distances are 2, 4 and 8 epsilon on every available side;
-    sides are averaged so the odd part of the smooth factor cancels.
-    Returns (coeffs, mismatch) where mismatch is the fit residual at the
-    held-out distance 16 epsilon.  All probes of all sides take one
-    integrand call.  A probe value that is not finite, the held-out one
-    included (it enters the error estimate), raises QuadratureError.
-    """
-    dists = np.array([2.0, 4.0, 8.0]) * eps
-    logs = np.log(dists)
-    vander = np.column_stack([logs**2, logs, np.ones(3)])
-    d_chk = 16.0 * eps
-    lc = math.log(d_chk)
-    probes = np.append(dists, d_chk)
-    ys = _values(f, np.concatenate([s0 + sign * probes for sign in sides]))
-    coeff_sets = []
-    mismatches = []
-    for row in ys.reshape(len(sides), 4):
-        if not np.all(np.isfinite(row)):
-            raise QuadratureError(f"integrand not finite while probing singularity at {s0!r}")
-        fit, y_chk = row[:3], float(row[3])
-        coeffs = np.linalg.solve(vander, fit)
-        mismatches.append(abs(y_chk - (coeffs[0] * lc**2 + coeffs[1] * lc + coeffs[2])))
-        coeff_sets.append(coeffs)
-    coeffs = np.mean(coeff_sets, axis=0)
-    return coeffs, max(mismatches)
-
-
-def _excision_correction(f, s0, lo, hi, eps):
-    """Closed-form integral of the local log fit over the excised interval.
-
-    ``lo``/``hi`` flag whether the left/right half of the excision lies
-    inside the integration interval (a singular point sitting on an endpoint
-    only contributes one half).
-    """
-    sides = []
-    if hi:
-        sides.append(1.0)
-    if lo:
-        sides.append(-1.0)
-    if not sides:
-        return 0.0, 0.0
-    (a2, a1, a0), mismatch = _fit_log_poly(f, s0, sides, eps)
-    le = math.log(eps)
-    # One-sided primitives of ln^2, ln, 1 over (0, eps).
-    half = a2 * eps * (le * le - 2.0 * le + 2.0) + a1 * eps * (le - 1.0) + a0 * eps
-    n_halves = (1 if lo else 0) + (1 if hi else 0)
-    correction = n_halves * half
-    residual = n_halves * eps * mismatch + 50.0 * _EPS * abs(correction)
-    return correction, residual
-
-
 def integrate_with_log_singularity(
     f,
     interval,
@@ -326,9 +263,12 @@ def integrate_with_log_singularity(
     """Integrate ``f`` over a finite interval despite logarithmic divergences.
 
     ``singular_points`` lists the abscissae where ``f`` diverges at most
-    logarithmically.  Points outside the interval are ignored.  Points
-    closer together than four excision widths are rejected, since their
-    excisions and fit probes would interfere.
+    logarithmically or has a kink; points outside the interval are ignored.
+    The interval is cut at the distinct points strictly inside it, and each
+    piece, at ``abs_tol`` over the number of pieces, is integrated over s in
+    [-1, 1] with x = m + r s (3 - s^2) / 2, where m is the piece's midpoint
+    and r its half-width.  A non-finite value of ``f`` raises
+    QuadratureError naming the panel in s.
     """
     cfg = cfg or DEFAULT_CONFIG
     a, b = float(interval[0]), float(interval[1])
@@ -336,62 +276,20 @@ def integrate_with_log_singularity(
         raise InputError("interval must be finite for singular integration")
     if a > b:
         raise InputError(f"empty interval: lower limit {a!r} above upper limit {b!r}")
-    eps = cfg.singularity_epsilon
-    points = sorted({float(s) for s in singular_points if a <= float(s) <= b})
-    if not points:
-        return integrate(f, (a, b), cfg)
-    if np.any(np.diff(points) < 4.0 * eps):
-        raise InputError(
-            f"singular points closer than 4*epsilon = {4.0 * eps!r}; "
-            "shrink singularity_epsilon or merge the points"
-        )
+    if a == b:
+        return IntegrationResult(0.0, 0.0, 0)
+    cuts = [a, *sorted({p for p in map(float, singular_points) if a < p < b}), b]
+    piece_cfg = dataclasses.replace(cfg, abs_tol=cfg.abs_tol / (len(cuts) - 1))
+    results = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
-    # Segments left over once each excision is removed.
-    cuts = [a]
-    for s0 in points:
-        cuts.append(max(s0 - eps, a))
-        cuts.append(min(s0 + eps, b))
-    cuts.append(b)
-    segments = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts), 2)]
-    segments = [(lo, hi) for lo, hi in segments if hi - lo > 0.0]
+        def g(s, m=m, r=r):
+            return _values(f, m + r * s * (3.0 - s * s) / 2.0) * (1.5 * r * (1.0 - s * s))
 
-    seg_cfg = dataclasses.replace(cfg, abs_tol=cfg.abs_tol / max(len(segments), 1))
-    values = []
-    errors = []
-    nsub = 0
-    for lo, hi in segments:
-        res = _adaptive(f, lo, hi, seg_cfg)
-        values.append(res.value)
-        errors.append(res.error_estimate)
-        nsub += res.subdivisions_used
-
-    for s0 in points:
-        # Probe room: the fit samples up to 16 eps beyond the excision and
-        # must not run off the interval or into a neighbouring excision.
-        room = 16.0 * eps
-        right_ok = (s0 + room) <= b and all(
-            other <= s0 or other - s0 > room + eps for other in points
-        )
-        left_ok = (s0 - room) >= a and all(
-            other >= s0 or s0 - other > room + eps for other in points
-        )
-        has_lo = s0 - eps > a  # left half of the excision is inside [a, b]
-        has_hi = s0 + eps < b
-        sides_lo = has_lo and left_ok
-        sides_hi = has_hi and right_ok
-        if not (sides_lo or sides_hi):
-            # No room to probe: drop the excised mass and bound it by the
-            # epsilon*ln(epsilon) scale it can carry.
-            errors.append(4.0 * eps * abs(math.log(eps)))
-            continue
-        correction, residual = _excision_correction(f, s0, sides_lo, sides_hi, eps)
-        # Halves without probe room reuse the fit from the other side.
-        if has_lo != sides_lo or has_hi != sides_hi:
-            want = (1 if has_lo else 0) + (1 if has_hi else 0)
-            got = (1 if sides_lo else 0) + (1 if sides_hi else 0)
-            correction *= want / got
-            residual *= 2.0 * want / got
-        values.append(correction)
-        errors.append(residual)
-
-    return IntegrationResult(math.fsum(values), math.fsum(errors), nsub)
+        results.append(_adaptive(g, -1.0, 1.0, piece_cfg))
+    return IntegrationResult(
+        math.fsum(res.value for res in results),
+        math.fsum(res.error_estimate for res in results),
+        sum(res.subdivisions_used for res in results),
+    )

@@ -180,17 +180,16 @@ def test_criterion_8_posterior_properties():
 
 
 def test_criterion_9_excision_stability():
-    with criterion(9, "log-singularity excision stable under eps -> eps/10", 5.0):
+    with criterion(9, "log-singularity integral stable under tol 1e-10 -> 1e-12", 5.0):
         f = lambda s: (2.0 / math.pi) * np.cos(s) ** 2 * np.log(
             np.cos(s - math.pi / 4.0) ** 2 / np.cos(s) ** 2
         )
         pts = [math.pi / 4.0 - HALF_PI]
-        eps = 1e-8
         values = []
-        for e in (eps, eps / 10.0):
-            cfg = QuadratureConfig(singularity_epsilon=e)
+        for tol in (1e-10, 1e-12):
+            cfg = QuadratureConfig(abs_tol=tol, rel_tol=tol)
             values.append(
                 integrate_with_log_singularity(f, (-HALF_PI, HALF_PI), pts, cfg).value
             )
-        assert abs(values[0] - values[1]) <= 5.0 * eps * abs(math.log(eps))
+        assert abs(values[0] - values[1]) <= 1e-10
         assert values[0] == pytest.approx(-1.0, abs=1e-7)  # H at a quarter period

@@ -215,6 +215,12 @@ def test_binomial_h_shares_only_its_curvature_with_the_carrier(binom, trig, xi0,
     assert own == pytest.approx(float(np.sum(terms)), rel=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1e-3, 0.01, 0.3, 1.4, 3.0])
+def test_trig_h_within_1e_12_of_closed_form(trig, delta):
+    # cos(2 delta) - 1, written without cancellation.
+    assert abs(h_functional(trig, delta).value - -2.0 * math.sin(delta) ** 2) <= 1e-12
+
+
 def test_evaluation_metadata(trig):
     ev = h_functional(trig, 0.4)
     assert ev.delta == 0.4
@@ -224,7 +230,8 @@ def test_evaluation_metadata(trig):
 # H(delta) value and error estimate, recorded before the quadrature
 # evaluated both halves of a split in one integrand call (gauss re-recorded
 # when line families were integrated in their own frame, with gauss's
-# window at 12 sigma); the partition and the totals must not depend on how
+# window at 12 sigma; trig re-recorded when singular integrals were split at
+# their singular points); the partition and the totals must not depend on how
 # abscissae are grouped into calls.
 FROZEN_H = {
     ("chi2log", 1e-6): (-5.000001666047091e-13, 1.0172992074185983e-16),
@@ -233,9 +240,9 @@ FROZEN_H = {
     ("gauss", 1e-6): (-4.999999999536894e-13, 4.460928117126775e-16),
     ("gauss", 0.5): (-0.12499999999999965, 5.491230794956185e-12),
     ("gauss", -1.3): (-0.8449999999999975, 1.4298106042022976e-11),
-    ("trig", 1e-6): (-1.9999550531130796e-12, 2.80565609181811e-18),
-    ("trig", 0.5): (-0.45969769413186096, 3.415433119551214e-11),
-    ("trig", -1.3): (-1.8568887533689469, 8.322366030786692e-11),
+    ("trig", 1e-6): (-1.99999936846181e-12, 2.0382140368165097e-16),
+    ("trig", 0.5): (-0.45969769413191264, 5.488673145145605e-11),
+    ("trig", -1.3): (-1.8568887533690202, 9.832980391996198e-11),
 }
 
 

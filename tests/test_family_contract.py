@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from gaussn import (
     InputError,
     ModelSpec,
+    UnsupportedModelError,
+    criterion_report,
     fisher_curvature_form,
     fisher_gradient_form,
     h_derivative_numeric,
@@ -79,9 +81,16 @@ class LaplaceOrderFour(Laplace):
     order = 4
 
 
+class LaplaceNoOrder(Laplace):
+    """Laplace, declaring no remainder order."""
+
+    order = None
+
+
 class ExtraFamily(Enum):
     LAPLACE = "laplace"
     LAPLACE_ORDER_FOUR = "laplace-order-four"
+    LAPLACE_NO_ORDER = "laplace-no-order"
 
 
 RECORDS = {**models._FAMILIES, ExtraFamily.LAPLACE: Laplace}
@@ -94,6 +103,7 @@ def extra_families():
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(models._FAMILIES, ExtraFamily.LAPLACE, Laplace)
         patch.setitem(models._FAMILIES, ExtraFamily.LAPLACE_ORDER_FOUR, LaplaceOrderFour)
+        patch.setitem(models._FAMILIES, ExtraFamily.LAPLACE_NO_ORDER, LaplaceNoOrder)
         yield
 
 
@@ -435,3 +445,11 @@ def test_laplace_declaring_order_four_fails_the_bound_row(extra_families):
     assert 4.5 * remainder_ratio(wrong, 8) == pytest.approx(0.422, abs=1e-3)
     with pytest.raises(AssertionError):
         test_remainder_bound_holds_at_minimal_n(wrong)
+
+
+def test_a_record_without_an_order_is_refused_by_name(extra_families):
+    # A missing declaration once surfaced as a bare TypeError from h_max.
+    model = ModelSpec(ExtraFamily.LAPLACE_NO_ORDER)
+    for call in (lambda: minimal_n(model), lambda: criterion_report(model, 8)):
+        with pytest.raises(UnsupportedModelError, match="laplace-no-order declares no remainder order"):
+            call()

@@ -46,6 +46,13 @@ def test_fisher_forms_across_trig_probe_points(trig):
     assert max(abs(g - grads[0]) for g in grads) <= 1e-5
 
 
+@pytest.mark.parametrize("xi", [round(-1.5 + 0.25 * k, 2) for k in range(13)])
+def test_trig_fisher_forms_within_1e_7_of_4(trig, xi):
+    # The curvature form integrates ln cos^2 at the stencil's shifted zeros.
+    assert abs(fisher_gradient_form(trig, xi) - 4.0) <= 1e-7
+    assert abs(fisher_curvature_form(trig, xi) - 4.0) <= 1e-7
+
+
 def test_wide_gaussian_scales(gauss):
     # Both forms run on the unit record and divide by sigma^2 once, so
     # neither steps nor windows follow sigma and precision holds at every
@@ -70,12 +77,14 @@ def test_binomial_degenerate_parameter_is_nudged(binom):
 # Bit patterns of both forms at xi = 0.3, recorded before the quadrature
 # evaluated both halves of a split in one integrand call (chi2log and gauss
 # re-recorded when line families were evaluated on their unit record at
-# xi = 0, so theirs are the xi = 0 bits).  Any change to the partition, the
-# summation order or the integrand arithmetic shows here.
+# xi = 0, so theirs are the xi = 0 bits; trig's curvature form re-recorded
+# when singular integrals were split at their singular points).  Any change
+# to the partition, the summation order or the integrand arithmetic shows
+# here.
 FROZEN_FISHER = {
     "chi2log": (0.9999999999972502, 1.0000000008784118),
     "gauss": (0.9999999999864819, 0.9999999932757442),
-    "trig": (3.9999999999839475, 3.999999991540256),
+    "trig": (3.9999999999839475, 3.9999999914986444),
     "binom": (3.9999999999793614, 4.000000104190075),
 }
 

@@ -152,30 +152,9 @@ def test_translation_invariance_on_the_line():
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
-def test_epsilon_excision_stability():
-    # Shrinking the excision width by 10x moves the value by far less than
-    # the 5 eps |ln eps| scale of the excised mass.
-    f = lambda s: np.cos(s) ** 2 * np.log(np.cos(s - math.pi / 4.0) ** 2)
-    pts = [math.pi / 4.0 - HALF_PI]
-    eps = 1e-8
-    cfg1 = QuadratureConfig(singularity_epsilon=eps)
-    cfg2 = QuadratureConfig(singularity_epsilon=eps / 10.0)
-    v1 = integrate_with_log_singularity(f, (-HALF_PI, HALF_PI), pts, cfg1).value
-    v2 = integrate_with_log_singularity(f, (-HALF_PI, HALF_PI), pts, cfg2).value
-    assert abs(v1 - v2) < 5.0 * eps * abs(math.log(eps))
-
-
 def test_truncation_rejects_heavy_tail():
     with pytest.raises(QuadratureError, match="truncation"):
         integrate(lambda x: np.ones_like(x) / (1.0 + x**2), (-math.inf, math.inf))
-
-
-def test_singular_points_too_close():
-    eps = QuadratureConfig().singularity_epsilon
-    with pytest.raises(InputError, match="singular points"):
-        integrate_with_log_singularity(
-            lambda x: np.log(np.abs(x)), (-1.0, 1.0), [0.0, 2.0 * eps]
-        )
 
 
 def test_subdivision_limit_carries_best_estimate():
@@ -230,16 +209,6 @@ def test_split_evaluates_both_halves_in_one_call():
     assert res.subdivisions_used > 10
     assert len(f.sizes) == 1 + res.subdivisions_used
     assert f.sizes == [15] + [30] * res.subdivisions_used
-
-
-def test_excision_probes_take_one_call():
-    # Two segments, each one first panel plus its splits, then the probes
-    # of both sides of the single excision in one call.
-    f = _Counted(lambda x: np.log(np.abs(x)))
-    res = integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
-    assert res.value == pytest.approx(-2.0, abs=1e-9)
-    assert len(f.sizes) == 2 + res.subdivisions_used + 1
-    assert f.sizes[-1] == 8
 
 
 def _first_panel_abscissae(a, b):
@@ -307,80 +276,80 @@ def test_wrong_shape_raises_input_error(bad):
         integrate_with_log_singularity(bad, (-1.0, 1.0), [0.0])
 
 
-_EPS_SING = QuadratureConfig().singularity_epsilon
+def _log_shift_integral(c):
+    """The integral of ln|x - c| over (-1, 1), for |c| < 1."""
+    return (1.0 - c) * math.log1p(-c) + (1.0 + c) * math.log1p(c) - 2.0
 
 
-@pytest.mark.parametrize("point", [2.0 * _EPS_SING, -4.0 * _EPS_SING])
+@pytest.mark.parametrize(
+    "f,interval,points,exact,tol",
+    [
+        (lambda x: np.abs(x - 0.3), (-1.0, 1.0), [0.3], 1.09, 1e-12),
+        (lambda x: 1.0 / np.sqrt(np.abs(x)), (-1.0, 1.0), [0.0], 4.0, 1e-10),
+        (
+            lambda x: np.log(np.abs(x)) + np.log(np.abs(x - 2e-8)),
+            (-1.0, 1.0),
+            [0.0, 2e-8],
+            _log_shift_integral(0.0) + _log_shift_integral(2e-8),
+            1e-10,
+        ),
+        (lambda x: np.log(1.0 - x), (0.0, 1.0), [1.0], -1.0, 1e-12),
+        (
+            lambda x: np.log(np.abs(x - 1e-7)),
+            (0.0, 2e-7),
+            [1e-7],
+            2.0 * (1e-7 * math.log(1e-7) - 1e-7),
+            1e-12,
+        ),
+    ],
+    ids=["kink", "inverse_sqrt", "points_2e-8_apart", "point_on_an_end", "interval_2e-7_wide"],
+)
+def test_singular_integral_matches_closed_form(f, interval, points, exact, tol):
+    res = integrate_with_log_singularity(f, interval, points)
+    assert abs(res.value - exact) <= tol
+    assert res.error_estimate <= 1e-9
+
+
+def _mapped_first_panel_abscissae(lo, hi):
+    """The x of the first panel of the piece (lo, hi) under its cubic map."""
+    s = _first_panel_abscissae(-1.0, 1.0)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * s * (3.0 - s * s) / 2.0
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-def test_non_finite_fit_probe_raises(point, value):
-    # Only the probe abscissae s0 +- {2, 4, 8} eps carry the bad value; the
-    # segments integrate cleanly.
-    f = _poisoned(lambda x: np.log(np.abs(x)), [point], [value])
-    with pytest.raises(QuadratureError, match="probing singularity at 0.0"):
+def test_non_finite_value_at_an_interior_abscissa_raises(value):
+    # ln|x| is finite at every abscissa of the piece (0, 1); one is poisoned.
+    xs = _mapped_first_panel_abscissae(0.0, 1.0)
+    f = _poisoned(lambda x: np.log(np.abs(x)), [xs[4]], [value])
+    with pytest.raises(QuadratureError, match="not finite"):
         integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
 
 
-def test_wrong_shape_at_the_probes_raises_input_error():
-    held_out = 16.0 * _EPS_SING
-
+def test_wrong_shape_after_a_split_raises_input_error():
+    # The first panels are well formed; the first split's call is not.
     def f(x):
         y = np.log(np.abs(x))
-        return y[:-1] if np.any(x == held_out) else y
+        return y[:-1] if len(x) == 30 else y
 
     with pytest.raises(InputError, match="integrand must map"):
         integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
 
 
-@pytest.mark.parametrize("point", [16.0 * _EPS_SING, -16.0 * _EPS_SING])
-@pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_non_finite_held_out_probe_raises(point, value):
-    # The held-out probe at s0 +- 16 eps feeds the error estimate; a bad
-    # value there must raise, not turn the estimate into inf or NaN.
-    f = _poisoned(lambda x: np.log(np.abs(x)), [point], [value])
-    with pytest.raises(QuadratureError, match="probing singularity at 0.0"):
-        integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
-
-
-def _spy_excisions(monkeypatch):
-    """Record (point, left half probed, right half probed) of every excision fit."""
-    import gaussn.quadrature as quadrature
-
-    calls = []
-    original = quadrature._excision_correction
-
-    def spy(f, s0, lo, hi, eps):
-        calls.append((s0, lo, hi))
-        return original(f, s0, lo, hi, eps)
-
-    monkeypatch.setattr(quadrature, "_excision_correction", spy)
-    return calls
+def test_unreachable_tolerance_raises_with_a_finite_estimate():
+    cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-14)
+    with pytest.raises(QuadratureError, match="tolerance not reached") as exc, np.errstate(all="raise"):
+        integrate_with_log_singularity(lambda s: np.log(np.cos(s)), (0.0, HALF_PI), [HALF_PI], cfg)
+    assert math.isfinite(exc.value.value)
+    assert math.isfinite(exc.value.error_estimate)
 
 
 @pytest.mark.parametrize("delta", [5e-8, -5e-8])
-def test_one_sided_fit_restores_both_halves(monkeypatch, delta):
-    # The shifted zero -delta +- pi/2 lies 5e-8 inside an end of [-pi/2, pi/2]:
-    # both halves of its excision are inside, but only the side away from
-    # the end has room for the probes, so its fit is used for both halves.
+def test_h_near_a_zero_beside_the_interval_end(delta):
+    # The shifted zero -delta +- pi/2 lies 5e-8 inside an end of [-pi/2, pi/2].
     from gaussn import h_functional, make_model
 
-    calls = _spy_excisions(monkeypatch)
     value = h_functional(make_model("trig"), delta).value
-    s0 = -delta + math.copysign(HALF_PI, delta)
-    assert HALF_PI - abs(s0) > QuadratureConfig().singularity_epsilon  # excision inside
-    assert calls == [(s0, delta > 0, delta < 0)]
     assert abs(value - -2.0 * math.sin(delta) ** 2) <= 1e-15
-
-
-def test_excision_without_probe_room_is_dropped_and_bounded(monkeypatch):
-    # The probes reach 16 eps beyond the point: on (0, 2e-7) neither side
-    # has room, so the excised mass is left out and counted as error.
-    calls = _spy_excisions(monkeypatch)
-    res = integrate_with_log_singularity(lambda x: np.log(np.abs(x - 1e-7)), (0.0, 2e-7), [1e-7])
-    assert calls == []
-    eps = QuadratureConfig().singularity_epsilon
-    assert res.error_estimate >= 4.0 * eps * abs(math.log(eps))
-    half = 1e-7  # the integral is twice that of ln u over (0, half)
-    assert abs(res.value - 2.0 * (half * math.log(half) - half)) <= res.error_estimate
 
 
 def test_panels_at_machine_resolution_raise():
