@@ -325,6 +325,36 @@ def test_non_finite_value_at_an_interior_abscissa_raises(value):
         integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
 
 
+def _poisoned_near_zero(base, point, value):
+    """``base`` with ``value`` at every x strictly between 0 and ``point``, ``point`` included."""
+
+    def f(x):
+        near = (0.0 < x) & (x <= point) if point > 0.0 else (point <= x) & (x < 0.0)
+        return np.where(near, value, base(x))
+
+    return f
+
+
+@pytest.mark.parametrize("point", [2e-8, -4e-8])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_fit_probe_raises(point, value):
+    # The end panels of the pieces beside the singular point 0 reach within
+    # 2e-8 of it; a bad value there must raise, not be averaged away.
+    f = _poisoned_near_zero(lambda x: np.log(np.abs(x)), point, value)
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
+
+
+@pytest.mark.parametrize("point", [1.6e-7, -1.6e-7])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_held_out_probe_raises(point, value):
+    # A bad value within 1.6e-7 of the singular point must raise, not turn
+    # the value or its error estimate into inf or NaN.
+    f = _poisoned_near_zero(lambda x: np.log(np.abs(x)), point, value)
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
+
+
 def test_wrong_shape_after_a_split_raises_input_error():
     # The first panels are well formed; the first split's call is not.
     def f(x):
