@@ -13,7 +13,7 @@ outputs are the reference, and copy the new entries into
 Given ``--compare GOLDEN``, lists each entry whose output differs from
 GOLDEN, with the largest relative change of each numeric field of its
 JSON ``results`` (a list counts as one field), before a change re-records
-them:
+them; the exit status is 1 when any entry differs, else 0:
 
     python3 scripts/record_cli_snapshot.py --compare tests/data/cli_snapshot.json
 """
@@ -25,7 +25,8 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from test_snapshot import COMMANDS  # noqa: E402
 
@@ -74,7 +75,7 @@ def _relative_change(old, new):
 
 
 def compare(golden, outputs):
-    """Report lines: each command whose output differs, with its changed fields."""
+    """(report lines, count of differing outputs): each differing command with its changed fields."""
     lines = []
     for command in sorted(outputs):
         old, new = golden.get(command), outputs[command]
@@ -98,7 +99,7 @@ def compare(golden, outputs):
         lines.append(f"{command}: {', '.join(changes) or 'no numeric field changed; text differs'}")
     differ = sum(1 for command in outputs if golden.get(command) != outputs[command])
     lines.append(f"{differ} of {len(outputs)} outputs differ")
-    return lines
+    return lines, differ
 
 
 def main():
@@ -111,13 +112,16 @@ def main():
     if args.out is None and args.compare is None:
         ap.error("give OUT, --compare GOLDEN, or both")
     outputs = record(COMMANDS)
+    differ = 0
     if args.compare is not None:
-        print("\n".join(compare(json.loads(Path(args.compare).read_text()), outputs)))
+        lines, differ = compare(json.loads(Path(args.compare).read_text()), outputs)
+        print("\n".join(lines))
     if args.out is not None:
         text = json.dumps(outputs, indent=1, sort_keys=True) + "\n"
         Path(args.out).write_text(text)
         print(f"wrote {len(COMMANDS)} outputs to {args.out}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

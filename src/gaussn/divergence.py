@@ -79,10 +79,9 @@ def _h_unit(unit, delta: float, cfg: QuadratureConfig | None):
 
     def integrand(us):
         p0 = np.exp(unit.log_density(us, 0.0))
-        with np.errstate(invalid="ignore"):
-            # p ln(p'/p) -> 0 where p underflows; only that limit is masked,
-            # a non-finite ratio against positive weight must surface
-            return np.where(p0 > 0.0, p0 * unit.log_ratio(us, delta), 0.0)
+        # p ln(p'/p) -> 0 where p underflows; only that limit is masked,
+        # a non-finite ratio against positive weight must surface
+        return np.multiply(p0, unit.log_ratio(us, delta), out=np.zeros_like(p0), where=p0 > 0.0)
 
     points = None if unit.zeros is None else unit.zeros(-delta)
     if points is None:

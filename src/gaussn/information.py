@@ -73,10 +73,7 @@ def _score_fd(family, xs, xi: float, p, h: float):
         return (family.density(xs, xi + hh) - family.density(xs, xi - hh)) / (2.0 * hh)
 
     d = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = d[mask] / p[mask]
-    return out
+    return np.divide(d, p, out=np.zeros_like(p), where=p > 0.0)
 
 
 def fisher_gradient_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:

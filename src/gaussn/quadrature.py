@@ -25,6 +25,13 @@ abscissae.  Each half is rated from its own 15 values by its own dot
 products, so the partition and the totals do not depend on how the abscissae
 are grouped into calls.
 
+Panel sums: each is one 15-term ``ndarray.dot`` of a weight vector and a
+panel's values (BLAS ddot), and the tests pin its bits against the same sum
+written with ``@``.  The sums of several panels are not batched into one
+matrix product: which BLAS kernel numpy picks for such a product depends on
+its shapes, and some of those kernels round differently from ddot, so a
+batched sum would move output bits.
+
 Determinism: panels are totalled in ascending interval order with
 compensated summation, so results do not depend on refinement scheduling.
 """
@@ -146,14 +153,14 @@ def _rule(y, a, b):
     one by one (a finite panel whose sum overflows is not an error).
     """
     h = 0.5 * (b - a)
-    s = float(_WK @ y)
+    s = float(_WK.dot(y))
     if not math.isfinite(s) and not np.all(np.isfinite(y)):
         raise QuadratureError(f"integrand not finite inside panel [{a!r}, {b!r}]")
     k = h * s
-    g = h * float(_WG @ y)
+    g = h * float(_WG.dot(y))
     err = abs(k - g)
-    resabs = h * float(_WK @ np.abs(y))
-    resasc = h * float(_WK @ np.abs(y - k / (b - a)))
+    resabs = h * float(_WK.dot(np.abs(y)))
+    resasc = h * float(_WK.dot(np.abs(y - k / (b - a))))
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     # Roundoff floor: a panel cannot honestly claim less than ~50 eps of its
@@ -165,6 +172,7 @@ def _rule(y, a, b):
 def _adaptive(f, a, b, cfg):
     if "_WG" not in globals():  # the first integration in this process
         _build_rule()
+    abs_tol, rel_tol, max_subdivisions = cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
     value0, err0 = _rule(_values(f, _abscissae(a, b)), a, b)
     # Max-heap on error; (a, b) breaks ties so scheduling is deterministic.
     heap = [(-err0, a, b, value0, err0)]
@@ -184,10 +192,10 @@ def _adaptive(f, a, b, cfg):
         )
 
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(run_val))
+        tol = max(abs_tol, rel_tol * abs(run_val))
         if run_err <= tol:
             val, err = _exact_totals()
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(val)):
+            if err <= max(abs_tol, rel_tol * abs(val)):
                 return IntegrationResult(val, err, nsub)
             run_val, run_err = val, err  # drift correction; keep refining
         if not heap:
@@ -196,10 +204,10 @@ def _adaptive(f, a, b, cfg):
                 "tolerance unreachable: all panels at machine resolution",
                 value=val, error_estimate=err, subdivisions_used=nsub,
             )
-        if nsub >= cfg.max_subdivisions:
+        if nsub >= max_subdivisions:
             val, err = _exact_totals()
             raise QuadratureError(
-                f"tolerance not reached within {cfg.max_subdivisions} subdivisions "
+                f"tolerance not reached within {max_subdivisions} subdivisions "
                 f"(best estimate {val!r} +- {err!r})",
                 value=val, error_estimate=err, subdivisions_used=nsub,
             )
@@ -268,7 +276,10 @@ def integrate_with_log_singularity(
     piece, at ``abs_tol`` over the number of pieces, is integrated over s in
     [-1, 1] with x = m + r s (3 - s^2) / 2, where m is the piece's midpoint
     and r its half-width.  A non-finite value of ``f`` raises
-    QuadratureError naming the panel in s.
+    QuadratureError naming the panel in s.  A piece that misses its
+    tolerance does not stop the others: the QuadratureError raised after
+    all pieces carries the whole interval's best estimate, the sum over
+    the pieces.
     """
     cfg = cfg or DEFAULT_CONFIG
     a, b = float(interval[0]), float(interval[1])
@@ -279,17 +290,43 @@ def integrate_with_log_singularity(
     if a == b:
         return IntegrationResult(0.0, 0.0, 0)
     cuts = [a, *sorted({p for p in map(float, singular_points) if a < p < b}), b]
-    piece_cfg = dataclasses.replace(cfg, abs_tol=cfg.abs_tol / (len(cuts) - 1))
-    results = []
+    pieces = len(cuts) - 1
+    piece_cfg = cfg if pieces == 1 else dataclasses.replace(cfg, abs_tol=cfg.abs_tol / pieces)
+    results, failure = [], None
     for lo, hi in zip(cuts, cuts[1:]):
-        m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        try:
+            results.append(_adaptive(_cubic_map(f, lo, hi), -1.0, 1.0, piece_cfg))
+        except QuadratureError as exc:
+            if exc.value is None:  # not finite inside a panel: no estimate to add
+                raise
+            results.append(exc)  # carries the piece's best estimate
+            failure = failure or exc
+    value = math.fsum(res.value for res in results)
+    error = math.fsum(res.error_estimate for res in results)
+    used = sum(res.subdivisions_used for res in results)
+    if failure is not None:
+        raise QuadratureError(
+            f"{failure} on a piece of [{a!r}, {b!r}]; best estimate over the whole "
+            f"interval {value!r} +- {error!r}",
+            value=value, error_estimate=error, subdivisions_used=used,
+        )
+    return IntegrationResult(value, error, used)
 
-        def g(s, m=m, r=r):
-            return _values(f, m + r * s * (3.0 - s * s) / 2.0) * (1.5 * r * (1.0 - s * s))
 
-        results.append(_adaptive(g, -1.0, 1.0, piece_cfg))
-    return IntegrationResult(
-        math.fsum(res.value for res in results),
-        math.fsum(res.error_estimate for res in results),
-        sum(res.subdivisions_used for res in results),
-    )
+def _cubic_map(f, lo, hi):
+    """``f`` on the piece (lo, hi) through x = m + r s (3 - s^2) / 2, times dx/ds."""
+    m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def g(s):
+        # In place, in the order of m + r s (3 - s^2) / 2 and 1.5 r (1 - s^2),
+        # so the bits are those expressions' (the tests pin them).
+        s2 = s * s
+        x = r * s
+        x *= 3.0 - s2
+        x /= 2.0
+        x += m
+        w = 1.0 - s2
+        w *= 1.5 * r
+        return _values(f, x) * w
+
+    return g

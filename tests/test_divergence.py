@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -271,3 +272,46 @@ def test_gauss_numeric_derivatives_follow_sigma(order, unit_value):
     # delta, not in delta / sigma, read 1.10 for order 4 at sigma = 50.
     got = h_derivative_numeric(make_model("gauss", sigma=50.0), order, 15.0)
     assert got * 50.0**order == pytest.approx(unit_value, abs=1e-3)
+
+
+class _StepUnit:
+    """A unit record on (0, 1) whose density underflows to 0 below 1/2 and is 1 above.
+
+    Below 1/2 the log ratio is -inf; above, it is ``ratio``.
+    """
+
+    zeros = None
+    fisher = 1.0
+
+    def __init__(self, ratio):
+        self.ratio = ratio
+        self.integrand = None
+
+    def log_density(self, us, xi):
+        return np.where(us < 0.5, -np.inf, 0.0)
+
+    def log_ratio(self, us, delta):
+        return np.where(us < 0.5, -np.inf, self.ratio)
+
+    def over_x(self, f, cfg, points):
+        self.integrand = f
+        return integrate(f, (0.0, 1.0), cfg)
+
+
+def test_h_integrand_is_zero_where_the_density_underflows():
+    from gaussn.divergence import _h_unit
+
+    unit = _StepUnit(-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _h_unit(unit, 1.0, None)
+        values = unit.integrand(np.array([0.25, 0.75]))
+    assert values.tolist() == [0.0, -1.0]
+    assert res.value == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_h_integrand_keeps_an_infinite_ratio_against_positive_density():
+    from gaussn.divergence import _h_unit
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        _h_unit(_StepUnit(np.inf), 1.0, None)

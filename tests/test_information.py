@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from gaussn import (
@@ -9,7 +11,7 @@ from gaussn import (
     normalization_check,
     prior_measure,
 )
-from gaussn.information import default_probe_points
+from gaussn.information import _score_fd, default_probe_points
 
 
 def test_gradient_form_examples(chi2, binom):
@@ -118,3 +120,19 @@ def test_narrow_gaussian_normalization():
     # Integrated about xi = 0.3 at scale 1e-20, 0.3 + 1e-20 t rounds to 0.3
     # for every t: the integrand was flat and the tail check raised.
     assert normalization_check(make_model("gauss", sigma=1e-20), 0.3) == pytest.approx(1.0, abs=1e-12)
+
+
+class _Ramp:
+    """A family whose density x + xi has score numerator 1 everywhere, zeros included."""
+
+    def density(self, xs, xi):
+        return xs + xi
+
+
+def test_score_is_zero_where_the_density_is_zero():
+    xs = np.array([0.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score = _score_fd(_Ramp(), xs, 0.0, xs, 1e-5)
+    assert score[0] == 0.0
+    assert score[1] == pytest.approx(0.5, rel=1e-9)

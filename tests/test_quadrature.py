@@ -1,4 +1,6 @@
 import math
+import operator
+import struct
 
 import numpy as np
 import pytest
@@ -63,6 +65,83 @@ def test_rule_arrays_keep_the_bits_of_the_former_module_constants():
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert quadrature._EPS == np.finfo(float).eps
+
+
+def _reference_rule(y, a, b):
+    """The panel rule with its sums written as ``@`` products, kept to pin ``_rule``'s bits."""
+    _, wk, wg = _rule_arrays()
+    h = 0.5 * (b - a)
+    s = float(wk @ y)
+    if not math.isfinite(s) and not np.all(np.isfinite(y)):
+        raise QuadratureError(f"integrand not finite inside panel [{a!r}, {b!r}]")
+    k = h * s
+    g = h * float(wg @ y)
+    err = abs(k - g)
+    resabs = h * float(wk @ np.abs(y))
+    resasc = h * float(wk @ np.abs(y - k / (b - a)))
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    err = max(err, 50.0 * np.finfo(float).eps * resabs)
+    return k, err
+
+
+def _outcome(rule, y, a, b):
+    """The bits of ``rule``'s (value, error), or the type of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            k, err = rule(y, a, b)
+    except (ArithmeticError, QuadratureError) as exc:
+        return type(exc)
+    return struct.pack("<dd", k, err)
+
+
+_MAGNITUDE = st.floats(min_value=1e-300, max_value=1e300)
+_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(operator.mul, st.sampled_from([1.0, -1.0]), _MAGNITUDE),
+)
+# Values of one scale, so that no single term swamps the sums.
+_SCALED_PANEL = st.builds(
+    lambda scale, unit: [scale * u for u in unit],
+    _MAGNITUDE,
+    st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15),
+)
+# Nearly flat values, where the roundoff floor on the error binds.
+_FLAT_PANEL = st.builds(
+    lambda level, ripple: [level * (1.0 + e) for e in ripple],
+    _VALUE,
+    st.lists(st.floats(-1e-12, 1e-12), min_size=15, max_size=15),
+)
+_PANEL = st.one_of(st.lists(_VALUE, min_size=15, max_size=15), _SCALED_PANEL, _FLAT_PANEL)
+_WIDTH = st.floats(min_value=1e-300, max_value=1e3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(y=_PANEL, a=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), width=_WIDTH)
+def test_rule_keeps_the_bits_of_the_matmul_panel_sums(y, a, width):
+    _rule_arrays()
+    y = np.array(y)
+    assert _outcome(quadrature._rule, y, a, a + width) == _outcome(_reference_rule, y, a, a + width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-1e3, 1e3),
+    width=_WIDTH,
+    s=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30),
+)
+def test_cubic_map_keeps_the_bits_of_the_written_expression(lo, width, s):
+    seen = []
+
+    def ones(x):
+        seen.append(x.copy())
+        return np.ones_like(x)
+
+    s, hi = np.array(s), lo + width
+    m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    weights = quadrature._cubic_map(ones, lo, hi)(s)
+    assert seen[0].tobytes() == (m + r * s * (3.0 - s * s) / 2.0).tobytes()
+    assert weights.tobytes() == (1.5 * r * (1.0 - s * s)).tobytes()
 
 
 def test_cos_squared_over_one_period():
@@ -370,6 +449,18 @@ def test_unreachable_tolerance_raises_with_a_finite_estimate():
     with pytest.raises(QuadratureError, match="tolerance not reached") as exc, np.errstate(all="raise"):
         integrate_with_log_singularity(lambda s: np.log(np.cos(s)), (0.0, HALF_PI), [HALF_PI], cfg)
     assert math.isfinite(exc.value.value)
+    assert math.isfinite(exc.value.error_estimate)
+
+
+def test_a_failed_piece_reports_the_whole_interval_estimate():
+    # trig H(0.3) is split into two pieces at a shifted zero of the density;
+    # a piece that cannot reach 1e-15 must not hide the other's estimate.
+    from gaussn import h_functional, make_model
+
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+    with pytest.raises(QuadratureError, match="best estimate over the whole interval") as exc:
+        h_functional(make_model("trig"), 0.3, cfg)
+    assert abs(exc.value.value - (math.cos(0.6) - 1.0)) <= 1e-9
     assert math.isfinite(exc.value.error_estimate)
 
 

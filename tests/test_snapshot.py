@@ -6,6 +6,8 @@ alter one of these outputs re-records that entry and says why.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from gaussn.cli import main
 
 SNAPSHOT = Path(__file__).parent / "data" / "cli_snapshot.json"
+RECORDER = Path(__file__).parent.parent / "scripts" / "record_cli_snapshot.py"
 MODELS = ("chi2log", "gauss", "trig", "binom")
 TABLE_N = "3,4,5,10,20,30,40,50,75,100,150,155,160,165"
 
@@ -74,3 +77,25 @@ def test_snapshot_covers_exactly_these_commands(golden):
 def test_cli_output_is_byte_identical(command, golden, capsys):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == golden[command]
+
+
+def _compare_with(golden_path):
+    return subprocess.run(
+        [sys.executable, str(RECORDER), "--compare", str(golden_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_compare_exits_1_when_an_entry_differs(golden, tmp_path):
+    altered = dict(golden, **{COMMANDS[0]: golden[COMMANDS[0]] + "changed\n"})
+    path = tmp_path / "altered.json"
+    path.write_text(json.dumps(altered))
+    proc = _compare_with(path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"1 of {len(COMMANDS)} outputs differ"
+
+
+def test_compare_exits_0_on_the_golden_snapshot():
+    proc = _compare_with(SNAPSHOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 of {len(COMMANDS)} outputs differ"
