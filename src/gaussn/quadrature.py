@@ -172,7 +172,6 @@ def _rule(y, a, b):
 def _adaptive(f, a, b, cfg):
     if "_WG" not in globals():  # the first integration in this process
         _build_rule()
-    abs_tol, rel_tol, max_subdivisions = cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
     value0, err0 = _rule(_values(f, _abscissae(a, b)), a, b)
     # Max-heap on error; (a, b) breaks ties so scheduling is deterministic.
     heap = [(-err0, a, b, value0, err0)]
@@ -192,10 +191,10 @@ def _adaptive(f, a, b, cfg):
         )
 
     while True:
-        tol = max(abs_tol, rel_tol * abs(run_val))
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(run_val))
         if run_err <= tol:
             val, err = _exact_totals()
-            if err <= max(abs_tol, rel_tol * abs(val)):
+            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(val)):
                 return IntegrationResult(val, err, nsub)
             run_val, run_err = val, err  # drift correction; keep refining
         if not heap:
@@ -204,10 +203,10 @@ def _adaptive(f, a, b, cfg):
                 "tolerance unreachable: all panels at machine resolution",
                 value=val, error_estimate=err, subdivisions_used=nsub,
             )
-        if nsub >= max_subdivisions:
+        if nsub >= cfg.max_subdivisions:
             val, err = _exact_totals()
             raise QuadratureError(
-                f"tolerance not reached within {max_subdivisions} subdivisions "
+                f"tolerance not reached within {cfg.max_subdivisions} subdivisions "
                 f"(best estimate {val!r} +- {err!r})",
                 value=val, error_estimate=err, subdivisions_used=nsub,
             )
@@ -290,12 +289,16 @@ def integrate_with_log_singularity(
     if a == b:
         return IntegrationResult(0.0, 0.0, 0)
     cuts = [a, *sorted({p for p in map(float, singular_points) if a < p < b}), b]
-    pieces = len(cuts) - 1
-    piece_cfg = cfg if pieces == 1 else dataclasses.replace(cfg, abs_tol=cfg.abs_tol / pieces)
+    piece_cfg = dataclasses.replace(cfg, abs_tol=cfg.abs_tol / (len(cuts) - 1))
     results, failure = [], None
     for lo, hi in zip(cuts, cuts[1:]):
+        m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+        def g(s, m=m, r=r):
+            return _values(f, m + r * s * (3.0 - s * s) / 2.0) * (1.5 * r * (1.0 - s * s))
+
         try:
-            results.append(_adaptive(_cubic_map(f, lo, hi), -1.0, 1.0, piece_cfg))
+            results.append(_adaptive(g, -1.0, 1.0, piece_cfg))
         except QuadratureError as exc:
             if exc.value is None:  # not finite inside a panel: no estimate to add
                 raise
@@ -304,29 +307,13 @@ def integrate_with_log_singularity(
     value = math.fsum(res.value for res in results)
     error = math.fsum(res.error_estimate for res in results)
     used = sum(res.subdivisions_used for res in results)
-    if failure is not None:
-        raise QuadratureError(
-            f"{failure} on a piece of [{a!r}, {b!r}]; best estimate over the whole "
-            f"interval {value!r} +- {error!r}",
-            value=value, error_estimate=error, subdivisions_used=used,
-        )
-    return IntegrationResult(value, error, used)
-
-
-def _cubic_map(f, lo, hi):
-    """``f`` on the piece (lo, hi) through x = m + r s (3 - s^2) / 2, times dx/ds."""
-    m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def g(s):
-        # In place, in the order of m + r s (3 - s^2) / 2 and 1.5 r (1 - s^2),
-        # so the bits are those expressions' (the tests pin them).
-        s2 = s * s
-        x = r * s
-        x *= 3.0 - s2
-        x /= 2.0
-        x += m
-        w = 1.0 - s2
-        w *= 1.5 * r
-        return _values(f, x) * w
-
-    return g
+    if failure is None:
+        return IntegrationResult(value, error, used)
+    if len(results) == 1:
+        raise failure  # one piece: its estimate is the whole interval's
+    reason = str(failure).partition(" (best estimate")[0]
+    raise QuadratureError(
+        f"{reason} on a piece of [{a!r}, {b!r}]; best estimate over the whole "
+        f"interval {value!r} +- {error!r}",
+        value=value, error_estimate=error, subdivisions_used=used,
+    )
