@@ -12,8 +12,10 @@ The convention throughout this module is
     delta = xi_ml - xi,
 
 and every derivative below is taken with respect to delta.  H is
-nonpositive, vanishes only at delta = 0, and its negative second derivative
-at zero is the Fisher information.
+nonpositive, vanishes at delta = 0, and its negative second derivative at
+zero is the Fisher information.  The periodic trig and binom also have
+H(+-pi) = cos 2 pi - 1 = 0, one period away, where quadrature gives
+rounding of either sign (+6.1e-17).
 
 The closed forms live in the family records of ``models`` (validated
 against quadrature by the test suite): H = delta + 1 - e^delta (chi2log),
@@ -28,12 +30,13 @@ of 8 is the carrier's answer.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 from ._lazy import LazyNumpy
 from .errors import InputError, UnsupportedModelError
 from .models import ModelSpec
-from .quadrature import IntegrationResult, QuadratureConfig
+from .quadrature import IntegrationResult, QuadratureConfig, lockstep
 
 np = LazyNumpy(globals())
 
@@ -62,37 +65,54 @@ def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = 
     family = model._family.carrier
     family.check_shift(delta)
     delta = float(delta)
-    res = _h_unit(family.unit, delta / family.scale, cfg)
+    (res,) = _h_unit(family.unit, [delta / family.scale], cfg)
     return HEvaluation(delta, res.value, res.error_estimate)
 
 
-def _h_unit(unit, delta: float, cfg: QuadratureConfig | None):
-    """H_1(delta) on the unit record ``unit``, through its ``over_x``.
+def _h_integrand(unit, us, deltas):
+    """p ln(p'/p) at each of ``us``, shifted by its own entry of ``deltas``."""
+    p0 = np.exp(unit.log_density(us, 0.0))
+    # p ln(p'/p) -> 0 where p underflows; only that limit is masked,
+    # a non-finite ratio against positive weight must surface
+    return np.multiply(p0, unit.log_ratio(us, deltas), out=np.zeros_like(p0), where=p0 > 0.0)
 
-    Where the density has zeros (trig), the integrand diverges
-    logarithmically at the shifted zeros; the quadrature layer splits the
-    integral there.  A line family is integrated about u = 0 at an absolute
-    tolerance tightened for small shifts.
+
+def _h_unit(unit, deltas, cfg: QuadratureConfig | None):
+    """H_1 at each of ``deltas`` on the unit record ``unit``, in one lockstep run.
+
+    Each shift's integral is the one the record's ``integral_over_x``
+    makes.  Where the density has zeros (trig), the integrand diverges
+    logarithmically at the shifted zeros, and the integral is split there.
+    A line family is integrated about u = 0 at an absolute tolerance
+    tightened for small shifts.  The pieces of all the integrals go through
+    one ``lockstep`` run, which calls the integrand once per round; each
+    result keeps the bits it has alone.  Raises the error of the first
+    shift, in the order given, whose integral fails.
     """
-    if delta == 0.0:
-        return IntegrationResult(0.0, 0.0, 0)  # integrand identically zero
 
-    def integrand(us):
-        p0 = np.exp(unit.log_density(us, 0.0))
-        # p ln(p'/p) -> 0 where p underflows; only that limit is masked,
-        # a non-finite ratio against positive weight must surface
-        return np.multiply(p0, unit.log_ratio(us, delta), out=np.zeros_like(p0), where=p0 > 0.0)
+    def integral(delta):
+        points = None if unit.zeros is None else unit.zeros(-delta)
+        shift_cfg = cfg
+        if points is None:
+            # For small shifts H ~ -F delta^2 / 2 sits far below the default
+            # absolute tolerance; tighten it so the nonpositivity theorem
+            # survives the quadrature (the integrand scale shrinks with delta,
+            # so the tighter target stays reachable).
+            shift_cfg = cfg or QuadratureConfig()
+            predicted = 0.5 * unit.fisher * delta * delta
+            shift_cfg = dataclasses.replace(
+                shift_cfg, abs_tol=min(shift_cfg.abs_tol, max(1e-3 * predicted, 1e-17))
+            )
+        return unit.integral_over_x(shift_cfg, points)
 
-    points = None if unit.zeros is None else unit.zeros(-delta)
-    if points is None:
-        # For small shifts H ~ -F delta^2 / 2 sits far below the default
-        # absolute tolerance; tighten it so the nonpositivity theorem
-        # survives the quadrature (the integrand scale shrinks with delta,
-        # so the tighter target stays reachable).
-        cfg = cfg or QuadratureConfig()
-        predicted = 0.5 * unit.fisher * delta * delta
-        cfg = dataclasses.replace(cfg, abs_tol=min(cfg.abs_tol, max(1e-3 * predicted, 1e-17)))
-    return unit.over_x(integrand, cfg, points)
+    shifts = [d for d in deltas if d != 0.0]  # the integrand is identically zero at 0
+    integrand = functools.partial(_h_integrand, unit)
+    outcomes = lockstep(integrand, [integral(d) for d in shifts], shifts)
+    failure = next((res for res in outcomes if isinstance(res, Exception)), None)
+    if failure is not None:
+        raise failure
+    computed = iter(outcomes)
+    return [next(computed) if d != 0.0 else IntegrationResult(0.0, 0.0, 0) for d in deltas]
 
 
 def h_closed_form(model: ModelSpec, delta: float) -> float:
@@ -114,6 +134,11 @@ def h_derivative_numeric(
     (the higher orders divide by h^3, h^4 and need the larger step to stay
     above the quadrature noise).  The inner quadrature runs at a tightened
     tolerance for the same reason.
+
+    The distinct shifts of both stencils, rounded to 15 decimals, are
+    integrated in one ``_h_unit`` batch, in the order the stencils first
+    use them.  Each H keeps the bits it has alone, and an error is the one
+    the first failing shift in that order raises.
     """
     if not 1 <= order <= 4:
         raise InputError("numeric derivatives support orders 1 through 4")
@@ -128,15 +153,8 @@ def h_derivative_numeric(
     inner = dataclasses.replace(
         base, abs_tol=min(base.abs_tol, 1e-13), rel_tol=min(base.rel_tol, 1e-13)
     )
-    cache: dict[float, float] = {}
 
-    def hv(d):
-        d = round(d, 15)
-        if d not in cache:
-            cache[d] = _h_unit(unit, d, inner).value
-        return cache[d]
-
-    def stencil(hh):
+    def stencil(hv, hh):
         if order == 1:
             return (hv(delta + hh) - hv(delta - hh)) / (2.0 * hh)
         if order == 2:
@@ -153,8 +171,23 @@ def h_derivative_numeric(
             + hv(delta - 2 * hh)
         ) / hh**4
 
-    coarse = stencil(h)
-    fine = stencil(h / 2.0)
+    # A first pass records the distinct rounded shifts in the order the
+    # stencils ask for them; all of them are integrated in one batch.
+    shifts = {}
+
+    def record(d):
+        shifts.setdefault(round(d, 15))
+        return 0.0
+
+    stencil(record, h)
+    stencil(record, h / 2.0)
+    values = {d: res.value for d, res in zip(shifts, _h_unit(unit, list(shifts), inner))}
+
+    def hv(d):
+        return values[round(d, 15)]
+
+    coarse = stencil(hv, h)
+    fine = stencil(hv, h / 2.0)
     return float((4.0 * fine - coarse) / 3.0) / scale**order
 
 

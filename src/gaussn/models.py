@@ -24,10 +24,10 @@ line family's tail and the probe span; the discrete support (binom) and the
 period (trig, binom); the carrier whose H it uses (binom -> trig); and, on
 carriers, the order of H's Taylor remainder, the closed H, its derivatives
 and closed maxima, the stable log ratio and the density zeros where the H
-and curvature integrands are singular (trig).  The ``over_x`` of a unit
-record is every integral over the observations (normalization, both
-Fisher forms, H), and the only caller of the integrators; the numeric
-routes apply the scale once, by change of variables.  All operations are
+and curvature integrands are singular (trig).  The ``integral_over_x`` of a
+unit record makes every integral over the observations (normalization,
+both Fisher forms, H), and ``over_x`` evaluates one; the numeric routes
+apply the scale once, by change of variables.  All operations are
 pure; sampling is deterministic given the seed.
 """
 
@@ -42,7 +42,7 @@ from enum import Enum
 
 from ._lazy import LazyNumpy
 from .errors import InputError, QuadratureError
-from .quadrature import IntegrationResult, QuadratureConfig, integrate, integrate_with_log_singularity
+from .quadrature import Integral, IntegrationResult, QuadratureConfig
 
 np = LazyNumpy(globals())
 
@@ -198,8 +198,11 @@ class _Family:
     period = None  # the period in xi of a periodic likelihood
     # Carriers: the order of H's Taylor remainder at 0 (4 where H is even and
     # smooth, else 3), H(delta), H^(order)(delta), max |H^(order)| on |delta|
-    # <= w (None if not closed), ln p(u + delta) - ln p(u) without cancellation
-    # (the sign of H holds down to |delta| ~ 1e-8), zeros in x of p(x | xi).
+    # <= w (None if not closed), ln p(u + delta) - ln p(u) elementwise for an
+    # array of delta aligned with u, zeros in x of p(x | xi).  The line
+    # families write the log ratio without cancellation; trig's subtracts two
+    # logs, so its quadrature H loses its sign below |delta| ~ 1e-11 (+5.75e-17
+    # at 1e-12, where cos 2 delta - 1 is -2e-24).
     order = h = h_derivative = h_max = log_ratio = zeros = None
 
     def __init__(self, sigma: float):
@@ -238,19 +241,27 @@ class _Family:
     def over_x(self, f, cfg: QuadratureConfig | None = None, log_points=None):
         """The integral of ``f`` (array of x to values) over the observations.
 
-        A discrete family sums over its support (error estimate 0);
-        ``log_points``, the x where ``f`` diverges logarithmically or has a
-        kink, split the integral.  A line family is truncated at |x| =
-        ``tail`` (the family's window replaces ``cfg.tail_cutoff``), which
-        holds its unit record's density at xi = 0.
+        A discrete family sums over its support (error estimate 0); any
+        other is integrated as ``integral_over_x`` says.
         """
         if self.support is not None:
             return IntegrationResult(float(np.sum(f(np.array(self.support)))), 0.0, 0)
+        return self.integral_over_x(cfg, log_points)(f)
+
+    def integral_over_x(self, cfg: QuadratureConfig | None = None, log_points=None) -> Integral:
+        """The integral over the observations of a family with continuous x.
+
+        ``log_points``, the x where the integrand diverges logarithmically or
+        has a kink, split the integral.  A line family is truncated at |x| =
+        ``tail`` (the family's window replaces ``cfg.tail_cutoff``), which
+        holds its unit record's density at xi = 0.
+        """
+        cfg = cfg or QuadratureConfig()
         if log_points is not None:
-            return integrate_with_log_singularity(f, self.x_domain, log_points, cfg)
+            return Integral(self.x_domain, cfg, log_points)
         if self.tail is not None:
-            cfg = dataclasses.replace(cfg or QuadratureConfig(), tail_cutoff=self.tail)
-        return integrate(f, self.x_domain, cfg)
+            cfg = dataclasses.replace(cfg, tail_cutoff=self.tail)
+        return Integral(self.x_domain, cfg)
 
     def check_shift(self, delta: float):
         if self.period is not None and abs(delta) > self.period:
@@ -312,9 +323,11 @@ class _Chi2Log(_Family):
     def log_ratio(self, us, delta):
         with np.errstate(over="ignore"):
             growth = np.expm1(delta)
-            if growth == math.inf:
+            first = growth.argmax()  # the first overflow, if any, in the order given
+            if growth.flat[first] == math.inf:
+                shift = float(np.asarray(delta).flat[first])
                 raise QuadratureError(
-                    f"expm1({delta!r}) overflowed: the chi2log log ratio is finite "
+                    f"expm1({shift!r}) overflowed: the chi2log log ratio is finite "
                     f"only for delta <= {self.max_shift!r}"
                 )
             return delta - np.exp(us) * growth

@@ -20,10 +20,17 @@ Integrand convention: callables receive a numpy array of abscissae and must
 return an array of values (all integrands in this package are numpy
 vectorized).
 
-Integrand calls: a split evaluates both halves in one call on their 30
-abscissae.  Each half is rated from its own 15 values by its own dot
-products, so the partition and the totals do not depend on how the abscissae
-are grouped into calls.
+Integrand calls: the adaptive loop is a job, a generator that yields the
+abscissae it needs, is sent their values, and returns its result or raises.
+A split asks for both halves at once, 30 abscissae.  ``integrate`` and
+``integrate_with_log_singularity`` drive the pieces of one integral one
+after another, one integrand call per request.  ``lockstep`` drives the
+pieces of many integrals side by side: each round it makes one integrand
+call on the abscissae that every live piece waits for, each with its
+integral's key (the shift, for H), and sends each piece its own slice.
+Every half is rated from its own 15 values by its own dot products, and
+each piece keeps its own heap and tolerance, so the partition, the totals
+and their bits do not depend on how the abscissae are grouped into calls.
 
 Panel sums: each is one 15-term ``ndarray.dot`` of a weight vector and a
 panel's values (BLAS ddot), and the tests pin its bits against the same sum
@@ -137,9 +144,9 @@ def _abscissae(a, b):
     return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
 
 
-def _values(f, xs):
+def _values(f, xs, *keys):
     """Integrand values at the abscissae ``xs``, checked for shape."""
-    y = np.asarray(f(xs), dtype=float)
+    y = np.asarray(f(xs, *keys), dtype=float)
     if y.shape != xs.shape:
         raise InputError("integrand must map an array of abscissae to values")
     return y
@@ -169,10 +176,15 @@ def _rule(y, a, b):
     return k, err
 
 
-def _adaptive(f, a, b, cfg):
+def _adaptive(a, b, cfg):
+    """The adaptive loop on [a, b], as a job.
+
+    A job is a generator: it yields the abscissae it needs, is sent their
+    values, and returns its IntegrationResult or raises QuadratureError.
+    """
     if "_WG" not in globals():  # the first integration in this process
         _build_rule()
-    value0, err0 = _rule(_values(f, _abscissae(a, b)), a, b)
+    value0, err0 = _rule((yield _abscissae(a, b)), a, b)
     # Max-heap on error; (a, b) breaks ties so scheduling is deterministic.
     heap = [(-err0, a, b, value0, err0)]
     stuck = []  # panels at machine resolution, no longer splittable
@@ -215,8 +227,8 @@ def _adaptive(f, a, b, cfg):
         if not (pa < pm < pb):
             stuck.append((pa, pb, pv, pe))
             continue
-        # Both halves in one integrand call; each keeps its own 15 values.
-        y = _values(f, np.concatenate([_abscissae(pa, pm), _abscissae(pm, pb)]))
+        # Both halves in one request; each keeps its own 15 values.
+        y = yield np.concatenate([_abscissae(pa, pm), _abscissae(pm, pb)])
         v1, e1 = _rule(y[:15], pa, pm)
         v2, e2 = _rule(y[15:], pm, pb)
         heapq.heappush(heap, (-e1, pa, pm, v1, e1))
@@ -226,16 +238,212 @@ def _adaptive(f, a, b, cfg):
         nsub += 1
 
 
-def _truncate_end(f, point, cutoff, threshold, side):
-    """Replace an infinite endpoint by +-cutoff, verifying negligibility."""
-    edge = cutoff if side == "upper" else -cutoff
-    mag = abs(float(_values(f, np.array([edge]))[0]))
+def _edge(edge, threshold, cutoff):
+    """The job that checks that the integrand is negligible at ``edge``."""
+    mag = abs(float((yield np.array([edge]))[0]))
     if not mag <= threshold:
         raise QuadratureError(
-            f"integrand magnitude {mag:.3e} at truncation point {edge!r} "
-            f"exceeds {threshold:.3e}; increase tail_cutoff or tolerances"
+            f"integrand magnitude {mag:.3e} at truncation point {edge!r} exceeds "
+            f"{threshold:.3e} (abs_tol / 100): the window |x| <= {cutoff!r} misses "
+            "part of the integral"
         )
     return edge
+
+
+def _truncated(a, b, cfg):
+    """The job of [a, b], an infinite end replaced by +-cfg.tail_cutoff once
+    the integrand is shown to be negligible there."""
+    threshold, cutoff = cfg.abs_tol / 100.0, cfg.tail_cutoff
+    if math.isinf(a):
+        a = yield from _edge(-cutoff, threshold, cutoff)
+    if math.isinf(b):
+        b = yield from _edge(cutoff, threshold, cutoff)
+    return (yield from _adaptive(a, b, cfg))
+
+
+def _mapped(lo, hi, cfg):
+    """The job of the piece [lo, hi]: the adaptive loop over s in [-1, 1],
+    with x = m + r s (3 - s^2) / 2 (m the midpoint, r the half-width)."""
+    m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    job = _adaptive(-1.0, 1.0, cfg)
+    try:
+        s = next(job)
+        while True:
+            y = yield m + r * s * (3.0 - s * s) / 2.0
+            s = job.send(y * (1.5 * r * (1.0 - s * s)))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _fatal(outcome) -> bool:
+    """Whether a job's outcome is an error with no estimate to add."""
+    return isinstance(outcome, Exception) and not (
+        isinstance(outcome, QuadratureError) and outcome.value is not None
+    )
+
+
+@dataclass(frozen=True)
+class Integral:
+    """The integral over ``interval`` of an integrand given later.
+
+    With ``points`` it is split there, as ``integrate_with_log_singularity``
+    does; without, it is integrated as ``integrate`` does.  ``cfg`` is the
+    whole integral's.  Calling it on an integrand runs the public integrator;
+    ``lockstep`` runs many at once.
+    """
+
+    interval: tuple[float, float]
+    cfg: QuadratureConfig
+    points: object = None
+
+    def __post_init__(self):
+        a, b = float(self.interval[0]), float(self.interval[1])
+        if self.points is None:
+            if math.isnan(a) or math.isnan(b):
+                raise InputError("integration limits must not be NaN")
+        elif math.isinf(a) or math.isinf(b) or math.isnan(a) or math.isnan(b):
+            raise InputError("interval must be finite for singular integration")
+        if a > b:
+            raise InputError(f"empty interval: lower limit {a!r} above upper limit {b!r}")
+        object.__setattr__(self, "interval", (a, b))
+
+    def __call__(self, f) -> IntegrationResult:
+        # Through the module's public names, so that a wrapper installed on
+        # them (perfbench's tracer) sees every integral driven one at a time.
+        if self.points is None:
+            return integrate(f, self.interval, self.cfg)
+        return integrate_with_log_singularity(f, self.interval, self.points, self.cfg)
+
+    def jobs(self) -> list:
+        """The jobs of the pieces, in order."""
+        a, b = self.interval
+        if a == b:
+            return []
+        if self.points is None:
+            return [_truncated(a, b, self.cfg)]
+        cuts = [a, *sorted({p for p in map(float, self.points) if a < p < b}), b]
+        cfg = dataclasses.replace(self.cfg, abs_tol=self.cfg.abs_tol / (len(cuts) - 1))
+        return [_mapped(lo, hi, cfg) for lo, hi in zip(cuts, cuts[1:])]
+
+    def finish(self, outcomes) -> IntegrationResult:
+        """The integral from its pieces' outcomes, or its error.
+
+        Each outcome is an IntegrationResult or the exception its job raised;
+        they stop at the first exception that carries no estimate, which is
+        raised.  A piece that missed its tolerance does not hide the others:
+        the error carries the sum over all pieces.  (The totals of a single
+        piece are its own bits, since its value and error are already fsum
+        results.)
+        """
+        if outcomes and _fatal(outcomes[-1]):
+            raise outcomes[-1]
+        value = math.fsum(res.value for res in outcomes)
+        error = math.fsum(res.error_estimate for res in outcomes)
+        used = sum(res.subdivisions_used for res in outcomes)
+        failure = next((res for res in outcomes if isinstance(res, QuadratureError)), None)
+        if failure is None:
+            return IntegrationResult(value, error, used)
+        if len(outcomes) == 1:
+            raise failure  # one piece: its estimate is the whole interval's
+        reason = str(failure).partition(" (best estimate")[0]
+        a, b = self.interval
+        raise QuadratureError(
+            f"{reason} on a piece of [{a!r}, {b!r}]; best estimate over the whole "
+            f"interval {value!r} +- {error!r}",
+            value=value, error_estimate=error, subdivisions_used=used,
+        )
+
+
+def _drive(f, integral: Integral) -> IntegrationResult:
+    """The integral of ``f``, its pieces driven one after another.
+
+    A piece that fails with no estimate raises at once, and the later
+    pieces never run.
+    """
+    outcomes = []
+    for job in integral.jobs():
+        try:
+            xs = next(job)
+            while True:
+                xs = job.send(_values(f, xs))
+        except StopIteration as stop:
+            outcomes.append(stop.value)
+        except QuadratureError as exc:
+            if exc.value is None:
+                raise
+            outcomes.append(exc)
+    return integral.finish(outcomes)
+
+
+def lockstep(f, integrals, keys) -> list:
+    """Drive the pieces of all ``integrals`` side by side, one call of ``f`` per round.
+
+    ``f(xs, ks)`` gets the abscissae that every live piece waits for, and
+    ``ks``, aligned with them, the entry of ``keys`` for each one's
+    integral.  Each piece is sent its own slice of the values, so it asks
+    for the same abscissae, and ends the same way, as when the integral is
+    driven alone.  Returns, in order, each integral's IntegrationResult or
+    the exception that driving it alone raises.  A piece that fails with no
+    estimate stops the later pieces of its own integral, and no others.
+    """
+    owner, jobs, starts = [], [], []
+    for i, integral in enumerate(integrals):
+        own = integral.jobs()
+        starts.append(len(jobs))
+        owner += [i] * len(own)
+        jobs += own
+    outcomes = [None] * len(jobs)
+    # Each integral's jobs end at its last, or at its first that failed with
+    # no estimate.
+    cut = starts[1:] + [len(jobs)]
+
+    def send(j, y):
+        """Send ``y`` to job j (throw it, if an exception): its next request, or None."""
+        try:
+            return jobs[j].throw(y) if isinstance(y, Exception) else jobs[j].send(y)
+        except StopIteration as stop:
+            outcomes[j] = stop.value
+        except Exception as exc:  # kept, to be raised in its integral's order
+            outcomes[j] = exc
+            if _fatal(exc):
+                cut[owner[j]] = min(cut[owner[j]], j + 1)
+        return None
+
+    live = [(j, xs) for j in range(len(jobs)) if (xs := send(j, None)) is not None]
+    aligned = {}  # ks for each pattern of (integral, request size) seen
+    while live:
+        pattern = tuple([(owner[j], x.size) for j, x in live])
+        ks = aligned.get(pattern)
+        if ks is None:
+            ks = np.repeat([keys[i] for i, _ in pattern], [n for _, n in pattern])
+            aligned[pattern] = ks
+        xs = live[0][1] if len(live) == 1 else np.concatenate([x for _, x in live])
+        try:
+            y = _values(f, xs, ks)
+        except Exception:  # some piece's abscissae raise: each piece calls f alone
+            y = None
+        requests, start = [], 0
+        for j, x in live:
+            end = start + x.size
+            if j < cut[owner[j]]:  # not a piece after its integral's failure
+                if y is not None:
+                    part = y[start:end]
+                else:
+                    try:
+                        part = _values(f, x, ks[start:end])
+                    except Exception as exc:
+                        part = exc
+                if (x := send(j, part)) is not None:
+                    requests.append((j, x))
+            start = end
+        live = requests
+    results = []
+    for integral, start, end in zip(integrals, starts, cut):
+        try:
+            results.append(integral.finish(outcomes[start:end]))
+        except Exception as exc:
+            results.append(exc)
+    return results
 
 
 def integrate(f, interval, cfg: QuadratureConfig | None = None) -> IntegrationResult:
@@ -245,20 +453,7 @@ def integrate(f, interval, cfg: QuadratureConfig | None = None) -> IntegrationRe
     :func:`integrate_with_log_singularity` when it has logarithmic
     divergences at known points.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    a, b = float(interval[0]), float(interval[1])
-    if math.isnan(a) or math.isnan(b):
-        raise InputError("integration limits must not be NaN")
-    if a > b:
-        raise InputError(f"empty interval: lower limit {a!r} above upper limit {b!r}")
-    if a == b:
-        return IntegrationResult(0.0, 0.0, 0)
-    threshold = cfg.abs_tol / 100.0
-    if math.isinf(a):
-        a = _truncate_end(f, a, cfg.tail_cutoff, threshold, "lower")
-    if math.isinf(b):
-        b = _truncate_end(f, b, cfg.tail_cutoff, threshold, "upper")
-    return _adaptive(f, a, b, cfg)
+    return _drive(f, Integral(interval, cfg or DEFAULT_CONFIG))
 
 
 def integrate_with_log_singularity(
@@ -280,40 +475,8 @@ def integrate_with_log_singularity(
     all pieces carries the whole interval's best estimate, the sum over
     the pieces.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    a, b = float(interval[0]), float(interval[1])
-    if math.isinf(a) or math.isinf(b) or math.isnan(a) or math.isnan(b):
-        raise InputError("interval must be finite for singular integration")
-    if a > b:
-        raise InputError(f"empty interval: lower limit {a!r} above upper limit {b!r}")
-    if a == b:
-        return IntegrationResult(0.0, 0.0, 0)
-    cuts = [a, *sorted({p for p in map(float, singular_points) if a < p < b}), b]
-    piece_cfg = dataclasses.replace(cfg, abs_tol=cfg.abs_tol / (len(cuts) - 1))
-    results, failure = [], None
-    for lo, hi in zip(cuts, cuts[1:]):
-        m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-        def g(s, m=m, r=r):
-            return _values(f, m + r * s * (3.0 - s * s) / 2.0) * (1.5 * r * (1.0 - s * s))
-
-        try:
-            results.append(_adaptive(g, -1.0, 1.0, piece_cfg))
-        except QuadratureError as exc:
-            if exc.value is None:  # not finite inside a panel: no estimate to add
-                raise
-            results.append(exc)  # carries the piece's best estimate
-            failure = failure or exc
-    value = math.fsum(res.value for res in results)
-    error = math.fsum(res.error_estimate for res in results)
-    used = sum(res.subdivisions_used for res in results)
-    if failure is None:
-        return IntegrationResult(value, error, used)
-    if len(results) == 1:
-        raise failure  # one piece: its estimate is the whole interval's
-    reason = str(failure).partition(" (best estimate")[0]
-    raise QuadratureError(
-        f"{reason} on a piece of [{a!r}, {b!r}]; best estimate over the whole "
-        f"interval {value!r} +- {error!r}",
-        value=value, error_estimate=error, subdivisions_used=used,
-    )
+    # The pieces run one after another.  In lockstep they would make the
+    # Fisher forms faster, but the benchmark's peak RSS grows with the
+    # number of sweeps a run completes (ROADMAP item 1), so that waits for
+    # the harness fix.
+    return _drive(f, Integral(interval, cfg or DEFAULT_CONFIG, singular_points))

@@ -18,6 +18,7 @@ from gaussn import (
     make_model,
     max_abs_derivative,
 )
+from gaussn.quadrature import Integral, QuadratureConfig
 
 HALF_PI = math.pi / 2.0
 
@@ -171,6 +172,28 @@ def test_chi2log_quadrature_h_blames_the_overflow(chi2):
         h_functional(chi2, 800.0)
 
 
+def test_chi2log_log_ratio_names_the_first_overflowing_shift(chi2):
+    # Each abscissa carries its own shift; the error names the first that overflows.
+    us = np.zeros(4)
+    with pytest.raises(QuadratureError, match=r"expm1\(800\.0\) overflowed"):
+        chi2._family.log_ratio(us, np.array([1.0, 800.0, 900.0, 1.0]))
+
+
+@pytest.mark.parametrize("name,window", [("chi2log", 40.0), ("gauss", 12.0)])
+def test_truncation_error_names_the_family_window(name, window):
+    # A line family integrates over its own window, whatever cfg.tail_cutoff
+    # says, so the error names that window and does not advise tail_cutoff.
+    delta = {"chi2log": 60.0, "gauss": 1e14}[name]
+    messages = []
+    for cfg in (None, QuadratureConfig(tail_cutoff=200.0)):
+        with pytest.raises(QuadratureError, match="truncation point") as exc:
+            h_functional(make_model(name), delta, cfg)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert f"|x| <= {window!r}" in messages[0]
+    assert "tail_cutoff" not in messages[0]
+
+
 def test_unsupported_operations(binom, trig):
     with pytest.raises(UnsupportedModelError):
         h_closed_form(binom, 0.2)
@@ -285,7 +308,6 @@ class _StepUnit:
 
     def __init__(self, ratio):
         self.ratio = ratio
-        self.integrand = None
 
     def log_density(self, us, xi):
         return np.where(us < 0.5, -np.inf, 0.0)
@@ -293,19 +315,18 @@ class _StepUnit:
     def log_ratio(self, us, delta):
         return np.where(us < 0.5, -np.inf, self.ratio)
 
-    def over_x(self, f, cfg, points):
-        self.integrand = f
-        return integrate(f, (0.0, 1.0), cfg)
+    def integral_over_x(self, cfg, points):
+        return Integral((0.0, 1.0), cfg)
 
 
 def test_h_integrand_is_zero_where_the_density_underflows():
-    from gaussn.divergence import _h_unit
+    from gaussn.divergence import _h_integrand, _h_unit
 
     unit = _StepUnit(-1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = _h_unit(unit, 1.0, None)
-        values = unit.integrand(np.array([0.25, 0.75]))
+        (res,) = _h_unit(unit, [1.0], None)
+        values = _h_integrand(unit, np.array([0.25, 0.75]), np.array([1.0, 1.0]))
     assert values.tolist() == [0.0, -1.0]
     assert res.value == pytest.approx(-0.5, abs=1e-12)
 
@@ -314,4 +335,4 @@ def test_h_integrand_keeps_an_infinite_ratio_against_positive_density():
     from gaussn.divergence import _h_unit
 
     with pytest.raises(QuadratureError, match="not finite"):
-        _h_unit(_StepUnit(np.inf), 1.0, None)
+        _h_unit(_StepUnit(np.inf), [1.0], None)
