@@ -19,6 +19,12 @@ through its ``over_x`` at its ``nudge`` of xi (xi = 0 on a line family), and
 apply the scale once: under x -> x / sigma a shift family's F is exactly
 F_1 / sigma^2.  So the finite-difference steps never need to follow sigma.
 
+Each integrand makes one family call for its stencil, on a column of xi
+against the row of abscissae: the score's four density arms (xi +- h / 2,
+xi +- h) as a (4, n) array, and ln p at xi and at the curvature arms xi +-
+h as a (3, n) array.  The family formulas are elementwise, so every value
+has the bits of a call per arm, which the tests check.
+
 Both forms are independent of xi for every bundled model; the constant
 prior measure is sqrt(F) with the proportionality constant fixed to 1 (it
 cancels in every posterior).
@@ -27,6 +33,7 @@ cancels in every posterior).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from ._lazy import LazyNumpy
@@ -66,13 +73,12 @@ def _score_fd(family, xs, xi: float, p, h: float):
     ``p`` is the density at ``xs`` and ``xi``, which every caller already
     holds.  The central difference of p with step ``h`` is Richardson
     extrapolated once; where the density underflows to zero the score is
-    reported as zero (those points carry no weight).
+    reported as zero (those points carry no weight).  The four arms, xi +-
+    h / 2 and xi +- h, are one density call on a (4, n) array of xi.
     """
-
-    def diff(hh):
-        return (family.density(xs, xi + hh) - family.density(xs, xi - hh)) / (2.0 * hh)
-
-    d = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+    hh = h / 2.0
+    arms = family.density(xs, np.array([[xi + hh], [xi - hh], [xi + h], [xi - h]]))
+    d = (4.0 * ((arms[0] - arms[1]) / (2.0 * hh)) - (arms[2] - arms[3]) / (2.0 * h)) / 3.0
     return np.divide(d, p, out=np.zeros_like(p), where=p > 0.0)
 
 
@@ -90,9 +96,14 @@ def fisher_gradient_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | No
     return f1 / model._family.scale**2
 
 
-def _curvature_stencil(family, xs, xi: float, ld, h: float):
-    """Second difference of ln p in xi; ``ld`` is ln p at ``xi`` itself."""
-    return (family.log_density(xs, xi + h) - 2.0 * ld + family.log_density(xs, xi - h)) / h**2
+def _curvature_integrand(family, stencil, h: float, xs):
+    """p times the second difference of ln p in xi, at ``xs``.
+
+    ``stencil`` is the (3, 1) array of xi and the arms xi + h, xi - h: ln p
+    at all three is one log-density call.
+    """
+    ld, up, down = family.log_density(xs, stencil)
+    return np.exp(ld) * ((up - 2.0 * ld + down) / h**2)
 
 
 def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
@@ -101,10 +112,8 @@ def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | N
     unit = model._family.unit
     h = _CURV_STEP
     xi = unit.nudge(xi)
-
-    def integrand(xs):
-        ld = unit.log_density(xs, xi)
-        return np.exp(ld) * _curvature_stencil(unit, xs, xi, ld, h)
+    stencil = np.array([[xi], [xi + h], [xi - h]])
+    integrand = functools.partial(_curvature_integrand, unit, stencil, h)
 
     points = None
     if unit.zeros is not None:

@@ -23,8 +23,9 @@ length scale (sigma for gauss, 1 otherwise), the record at unit scale, a
 line family's tail and the probe span; the discrete support (binom) and the
 period (trig, binom); the carrier whose H it uses (binom -> trig); and, on
 carriers, the order of H's Taylor remainder, the closed H, its derivatives
-and closed maxima, the stable log ratio and the density zeros where the H
-and curvature integrands are singular (trig).  The ``integral_over_x`` of a
+and closed maxima, the stable log ratio (``h_terms`` gives it with ln p
+from shared terms) and the density zeros where the H and curvature
+integrands are singular (trig).  The ``integral_over_x`` of a
 unit record makes every integral over the observations (normalization,
 both Fisher forms, H), and ``over_x`` evaluates one; the numeric routes
 apply the scale once, by change of variables.  All operations are
@@ -199,10 +200,13 @@ class _Family:
     # Carriers: the order of H's Taylor remainder at 0 (4 where H is even and
     # smooth, else 3), H(delta), H^(order)(delta), max |H^(order)| on |delta|
     # <= w (None if not closed), ln p(u + delta) - ln p(u) elementwise for an
-    # array of delta aligned with u, zeros in x of p(x | xi).  The line
-    # families write the log ratio without cancellation; trig's subtracts two
-    # logs, so its quadrature H loses its sign below |delta| ~ 1e-11 (+5.75e-17
-    # at 1e-12, where cos 2 delta - 1 is -2e-24).
+    # array of delta aligned with u, zeros in x of p(x | xi).  The quadrature
+    # H keeps H <= 0 only down to a shift, measured at 100 shifts per decade:
+    # |delta| >= 4e-13 for chi2log, 3e-17 for gauss and 1e-8 for trig.  Below
+    # it, a line family's H sits under the 1e-17 floor of _h_unit's absolute
+    # tolerance (chi2log H(1e-15) is +2.01e-18, gauss H(1e-17) +5.5e-35);
+    # without the floor the tolerance is unreachable.  Trig's log ratio
+    # subtracts two logs: H(2e-9) is +1.9e-17, where cos 2 delta - 1 is -8e-18.
     order = h = h_derivative = h_max = log_ratio = zeros = None
 
     def __init__(self, sigma: float):
@@ -263,6 +267,13 @@ class _Family:
             cfg = dataclasses.replace(cfg, tail_cutoff=self.tail)
         return Integral(self.x_domain, cfg)
 
+    def h_terms(self, us, deltas):
+        """ln p(u) at xi = 0 and the log ratio at ``deltas``: the terms of H's integrand.
+
+        A carrier whose two terms share work computes it once here.
+        """
+        return self.log_density(us, 0.0), self.log_ratio(us, deltas)
+
     def check_shift(self, delta: float):
         if self.period is not None and abs(delta) > self.period:
             raise InputError(f"shift {delta!r} exceeds one period (|delta| <= pi)")
@@ -321,6 +332,14 @@ class _Chi2Log(_Family):
         )
 
     def log_ratio(self, us, delta):
+        return self._log_ratio(np.exp(us), delta)
+
+    def h_terms(self, us, deltas):
+        eu = np.exp(us)  # once, for both terms
+        return us - eu, self._log_ratio(eu, deltas)
+
+    def _log_ratio(self, eu, delta):
+        """The log ratio at ``delta`` from e^u."""
         with np.errstate(over="ignore"):
             growth = np.expm1(delta)
             first = growth.argmax()  # the first overflow, if any, in the order given
@@ -330,7 +349,7 @@ class _Chi2Log(_Family):
                     f"expm1({shift!r}) overflowed: the chi2log log ratio is finite "
                     f"only for delta <= {self.max_shift!r}"
                 )
-            return delta - np.exp(us) * growth
+            return delta - eu * growth
 
 
 class _Gauss(_Family):
@@ -449,6 +468,12 @@ class _Trig(_Family):
     def log_ratio(self, us, delta):
         with np.errstate(divide="ignore"):
             return 2.0 * (np.log(np.abs(np.cos(us + delta))) - np.log(np.abs(np.cos(us))))
+
+    def h_terms(self, us, deltas):
+        with np.errstate(divide="ignore"):
+            lc = np.log(np.abs(np.cos(us)))  # once, for both terms
+            ratio = 2.0 * (np.log(np.abs(np.cos(us + deltas))) - lc)
+        return math.log(2.0 / math.pi) + 2.0 * lc, ratio
 
     def zeros(self, xi):
         return [xi + k * _HALF_PI for k in (-3, -1, 1, 3)]

@@ -22,15 +22,17 @@ vectorized).
 
 Integrand calls: the adaptive loop is a job, a generator that yields the
 abscissae it needs, is sent their values, and returns its result or raises.
-A split asks for both halves at once, 30 abscissae.  ``integrate`` and
-``integrate_with_log_singularity`` drive the pieces of one integral one
-after another, one integrand call per request.  ``lockstep`` drives the
-pieces of many integrals side by side: each round it makes one integrand
-call on the abscissae that every live piece waits for, each with its
-integral's key (the shift, for H), and sends each piece its own slice.
-Every half is rated from its own 15 values by its own dot products, and
-each piece keeps its own heap and tolerance, so the partition, the totals
-and their bits do not depend on how the abscissae are grouped into calls.
+A split asks for both halves at once, 30 abscissae.  One driver,
+``lockstep``, runs every integral: each round it makes one integrand call
+on the abscissae that every live piece waits for, each with its integral's
+key (the shift, for H), and sends each piece its own slice; once a single
+piece is left, the integrand gets that piece's requests as they come.
+``integrate`` and ``integrate_with_log_singularity`` are ``lockstep`` on
+the pieces of one integral, so the pieces of a split integral run side by
+side.  Every half is rated from its own 15 values by its own dot products,
+and each piece keeps its own heap and tolerance, so the partition, the
+totals and their bits do not depend on how the abscissae are grouped into
+calls.
 
 Panel sums: each is one 15-term ``ndarray.dot`` of a weight vector and a
 panel's values (BLAS ddot), and the tests pin its bits against the same sum
@@ -48,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -111,7 +114,9 @@ class QuadratureConfig:
     """Tolerances and limits for the adaptive integrator.
 
     ``tail_cutoff`` is the truncation half-width used for unbounded
-    intervals.
+    intervals.  The tolerances and the cutoff must be finite and positive,
+    and ``max_subdivisions`` a positive integer; anything else raises
+    InputError.
     """
 
     abs_tol: float = 1e-10
@@ -121,10 +126,14 @@ class QuadratureConfig:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "tail_cutoff"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be strictly positive")
-        if self.max_subdivisions <= 0:
-            raise InputError("max_subdivisions must be strictly positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be strictly positive and finite, got {value!r}")
+        n = self.max_subdivisions
+        # bool is an Integral; the exact-int test keeps the common case cheap
+        integral = type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))
+        if not integral or n <= 0:
+            raise InputError(f"max_subdivisions must be a strictly positive integer, got {n!r}")
         if self.tail_cutoff < 10:
             raise InputError("tail_cutoff must be at least 10")
 
@@ -144,9 +153,9 @@ def _abscissae(a, b):
     return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
 
 
-def _values(f, xs, *keys):
-    """Integrand values at the abscissae ``xs``, checked for shape."""
-    y = np.asarray(f(xs, *keys), dtype=float)
+def _values(f, xs, ks):
+    """Integrand values at the abscissae ``xs`` with keys ``ks``, checked for shape."""
+    y = np.asarray(f(xs, ks), dtype=float)
     if y.shape != xs.shape:
         raise InputError("integrand must map an array of abscissae to values")
     return y
@@ -309,7 +318,7 @@ class Integral:
 
     def __call__(self, f) -> IntegrationResult:
         # Through the module's public names, so that a wrapper installed on
-        # them (perfbench's tracer) sees every integral driven one at a time.
+        # them (perfbench's tracer) sees every integral that runs on its own.
         if self.points is None:
             return integrate(f, self.interval, self.cfg)
         return integrate_with_log_singularity(f, self.interval, self.points, self.cfg)
@@ -354,36 +363,17 @@ class Integral:
         )
 
 
-def _drive(f, integral: Integral) -> IntegrationResult:
-    """The integral of ``f``, its pieces driven one after another.
-
-    A piece that fails with no estimate raises at once, and the later
-    pieces never run.
-    """
-    outcomes = []
-    for job in integral.jobs():
-        try:
-            xs = next(job)
-            while True:
-                xs = job.send(_values(f, xs))
-        except StopIteration as stop:
-            outcomes.append(stop.value)
-        except QuadratureError as exc:
-            if exc.value is None:
-                raise
-            outcomes.append(exc)
-    return integral.finish(outcomes)
-
-
 def lockstep(f, integrals, keys) -> list:
     """Drive the pieces of all ``integrals`` side by side, one call of ``f`` per round.
 
     ``f(xs, ks)`` gets the abscissae that every live piece waits for, and
-    ``ks``, aligned with them, the entry of ``keys`` for each one's
-    integral.  Each piece is sent its own slice of the values, so it asks
-    for the same abscissae, and ends the same way, as when the integral is
-    driven alone.  Returns, in order, each integral's IntegrationResult or
-    the exception that driving it alone raises.  A piece that fails with no
+    ``ks``, aligned with them, the entry of ``keys`` (one float per
+    integral) for each one's integral.  Each piece is sent its own slice of
+    the values, so it asks for the same abscissae, and ends the same way,
+    as when its pieces are driven one after another.  Once one piece is
+    left, ``f`` gets its requests as they come, without the batch's
+    bookkeeping.  Returns, in order, each integral's IntegrationResult or the
+    exception that driving it alone raises.  A piece that fails with no
     estimate stops the later pieces of its own integral, and no others.
     """
     owner, jobs, starts = [], [], []
@@ -397,29 +387,34 @@ def lockstep(f, integrals, keys) -> list:
     # no estimate.
     cut = starts[1:] + [len(jobs)]
 
-    def send(j, y):
-        """Send ``y`` to job j (throw it, if an exception): its next request, or None."""
-        try:
-            return jobs[j].throw(y) if isinstance(y, Exception) else jobs[j].send(y)
-        except StopIteration as stop:
-            outcomes[j] = stop.value
-        except Exception as exc:  # kept, to be raised in its integral's order
-            outcomes[j] = exc
-            if _fatal(exc):
+    def ended(j, end):
+        """Keep job j's result (its StopIteration) or error, or the error f
+        raised on its abscissae."""
+        if isinstance(end, StopIteration):
+            outcomes[j] = end.value
+        else:  # kept, to be raised in its integral's order
+            outcomes[j] = end
+            if _fatal(end):
                 cut[owner[j]] = min(cut[owner[j]], j + 1)
+
+    def send(j, y):
+        """Send ``y`` to job j: its next request, or None once it has ended."""
+        try:
+            return jobs[j].send(y)
+        except Exception as end:
+            ended(j, end)
         return None
 
     live = [(j, xs) for j in range(len(jobs)) if (xs := send(j, None)) is not None]
     aligned = {}  # ks for each pattern of (integral, request size) seen
-    while live:
+    while len(live) > 1:
         pattern = tuple([(owner[j], x.size) for j, x in live])
         ks = aligned.get(pattern)
         if ks is None:
             ks = np.repeat([keys[i] for i, _ in pattern], [n for _, n in pattern])
             aligned[pattern] = ks
-        xs = live[0][1] if len(live) == 1 else np.concatenate([x for _, x in live])
         try:
-            y = _values(f, xs, ks)
+            y = _values(f, np.concatenate([x for _, x in live]), ks)
         except Exception:  # some piece's abscissae raise: each piece calls f alone
             y = None
         requests, start = [], 0
@@ -427,16 +422,30 @@ def lockstep(f, integrals, keys) -> list:
             end = start + x.size
             if j < cut[owner[j]]:  # not a piece after its integral's failure
                 if y is not None:
-                    part = y[start:end]
+                    x = send(j, y[start:end])
                 else:
                     try:
-                        part = _values(f, x, ks[start:end])
-                    except Exception as exc:
-                        part = exc
-                if (x := send(j, part)) is not None:
+                        x = send(j, _values(f, x, ks[start:end]))
+                    except Exception as exc:  # f raised on this piece's abscissae
+                        ended(j, exc)
+                        x = None
+                if x is not None:
                     requests.append((j, x))
             start = end
         live = requests
+    for j, xs in live:  # at most one piece left: f gets each of its requests as it comes
+        if j >= cut[owner[j]]:  # a piece after its integral's failure
+            break
+        job, key, sized = jobs[j], keys[owner[j]], {}
+        try:
+            while True:
+                ks = sized.get(xs.size)
+                if ks is None:
+                    ks = sized[xs.size] = np.empty(xs.size)
+                    ks.fill(key)
+                xs = job.send(_values(f, xs, ks))
+        except Exception as end:  # its result, its error, or the error f raised
+            ended(j, end)
     results = []
     for integral, start, end in zip(integrals, starts, cut):
         try:
@@ -446,6 +455,14 @@ def lockstep(f, integrals, keys) -> list:
     return results
 
 
+def _alone(f, integral: Integral) -> IntegrationResult:
+    """The integral of ``f``, a function of the abscissae alone, or its error."""
+    (outcome,) = lockstep(lambda xs, ks: f(xs), [integral], [0.0])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def integrate(f, interval, cfg: QuadratureConfig | None = None) -> IntegrationResult:
     """Adaptively integrate ``f`` over ``interval`` (either end may be infinite).
 
@@ -453,7 +470,7 @@ def integrate(f, interval, cfg: QuadratureConfig | None = None) -> IntegrationRe
     :func:`integrate_with_log_singularity` when it has logarithmic
     divergences at known points.
     """
-    return _drive(f, Integral(interval, cfg or DEFAULT_CONFIG))
+    return _alone(f, Integral(interval, cfg or DEFAULT_CONFIG))
 
 
 def integrate_with_log_singularity(
@@ -475,8 +492,4 @@ def integrate_with_log_singularity(
     all pieces carries the whole interval's best estimate, the sum over
     the pieces.
     """
-    # The pieces run one after another.  In lockstep they would make the
-    # Fisher forms faster, but the benchmark's peak RSS grows with the
-    # number of sweeps a run completes (ROADMAP item 1), so that waits for
-    # the harness fix.
-    return _drive(f, Integral(interval, cfg or DEFAULT_CONFIG, singular_points))
+    return _alone(f, Integral(interval, cfg or DEFAULT_CONFIG, singular_points))

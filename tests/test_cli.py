@@ -36,6 +36,13 @@ def test_fisher_chi2log_and_gauss(capsys):
     assert payload["results"]["gradient_form"] == pytest.approx(0.25, abs=1e-6)
 
 
+def test_infinite_quadrature_tolerance_is_a_usage_error(capsys):
+    argv = ("fisher", "--model", "trig", "--xi", "0.3", "--quad-tol", "inf")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: abs_tol must be strictly positive and finite, got inf\n"
+
+
 def test_fisher_unknown_model_usage_error(capsys):
     code, _, _ = run_cli(capsys, "fisher", "--model", "weibull")
     assert code == 2

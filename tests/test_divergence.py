@@ -18,6 +18,7 @@ from gaussn import (
     make_model,
     max_abs_derivative,
 )
+from gaussn.models import _Family
 from gaussn.quadrature import Integral, QuadratureConfig
 
 HALF_PI = math.pi / 2.0
@@ -239,6 +240,23 @@ def test_binomial_h_shares_only_its_curvature_with_the_carrier(binom, trig, xi0,
     assert own == pytest.approx(float(np.sum(terms)), rel=1e-12)
 
 
+# The smallest |delta| from which the quadrature H keeps H <= 0, measured at
+# 100 shifts per decade (the _Family comment in models.py gives the values
+# below it).  A line family's H falls under the 1e-17 floor of the absolute
+# tolerance below its limit, and trig's H under the rounding of its log ratio.
+SIGN_LIMITS = [("chi2log", 4e-13), ("gauss", 3e-17), ("trig", 1e-8)]
+
+
+@pytest.mark.parametrize("name,limit", SIGN_LIMITS)
+def test_h_keeps_its_sign_down_to_the_measured_limit(name, limit):
+    model = make_model(name)
+    decades = math.log10(1e-5 / limit)
+    for k in range(int(20 * decades) + 1):  # 20 shifts per decade up to 1e-5
+        d = limit * 10.0 ** (k / 20)
+        for delta in (d, -d):
+            assert h_functional(model, delta).value <= 0.0, delta
+
+
 @pytest.mark.parametrize("delta", [1e-3, 0.01, 0.3, 1.4, 3.0])
 def test_trig_h_within_1e_12_of_closed_form(trig, delta):
     # cos(2 delta) - 1, written without cancellation.
@@ -297,7 +315,7 @@ def test_gauss_numeric_derivatives_follow_sigma(order, unit_value):
     assert got * 50.0**order == pytest.approx(unit_value, abs=1e-3)
 
 
-class _StepUnit:
+class _StepUnit(_Family):
     """A unit record on (0, 1) whose density underflows to 0 below 1/2 and is 1 above.
 
     Below 1/2 the log ratio is -inf; above, it is ``ratio``.

@@ -1,6 +1,8 @@
 """``lockstep`` drives the pieces of many integrals side by side, one
-integrand call per round.  Each integral must come out as it does when
-driven alone: the same value, error estimate and subdivision count, bit for
+integrand call per round; ``integrate`` and ``integrate_with_log_singularity``
+are ``lockstep`` on one integral.  Each integral must come out as it does
+when its pieces run one after another (``_sequential``, kept here as the
+reference): the same value, error estimate and subdivision count, bit for
 bit, or the same error.  ``h_derivative_numeric`` integrates its stencil's
 shifts in one such batch, and must equal the stencil evaluated one shift at
 a time, including the error it raises first."""
@@ -39,9 +41,11 @@ def _described(outcome):
 
 def _called(call):
     try:
-        return _described(call())
+        outcome = call()
     except Exception as exc:
         return _described(exc)
+    assert not isinstance(outcome, Exception), f"returned, not raised: {outcome!r}"
+    return _described(outcome)
 
 
 # -- the driver ---------------------------------------------------------------
@@ -51,7 +55,8 @@ class _Integrands:
     """Smooth integrands, one per key: amp * e^(sin(w x + phase)) * e^(-(x / width)^2 / 2).
 
     ``poison`` (key, lo, hi, kind) puts inf or NaN at that key's abscissae
-    in [lo, hi], or, for kind "raise", makes a call holding one raise.
+    in [lo, hi]; for kind "raise" a call holding one raises, and for kind
+    "short" it returns one value too few.
     """
 
     def __init__(self, params, poison=None):
@@ -68,23 +73,50 @@ class _Integrands:
             if kind == "raise":
                 if hit.any():
                     raise ValueError(f"poisoned abscissa for key {target}")
+            elif kind == "short":
+                if hit.any():
+                    y = y[:-1]
             else:
                 y = np.where(hit, np.inf if kind == "inf" else np.nan, y)
         return y
 
 
+def _sequential(f, integral):
+    """The integral of ``f`` (a function of the abscissae), its pieces run one
+    after another, one call of ``f`` per request.
+
+    A piece that fails with no estimate raises at once, and the later
+    pieces never run.
+    """
+    outcomes = []
+    for job in integral.jobs():
+        try:
+            xs = next(job)
+            while True:
+                y = np.asarray(f(xs), dtype=float)
+                if y.shape != xs.shape:
+                    raise InputError("integrand must map an array of abscissae to values")
+                xs = job.send(y)
+        except StopIteration as stop:
+            outcomes.append(stop.value)
+        except QuadratureError as exc:
+            if exc.value is None:
+                raise
+            outcomes.append(exc)
+    return integral.finish(outcomes)
+
+
 def check_driver(case):
-    """Lockstep over the case's integrals against driving each alone."""
+    """Lockstep over the case's integrals, and the public integrator of each,
+    against the sequential reference."""
     specs, params, poison = case
     f = _Integrands(params, poison)
     integrals = [Integral(span, QuadratureConfig(*cfg), points) for span, cfg, points in specs]
     keys = [float(k) for k in range(len(integrals))]
-    together = [_described(outcome) for outcome in lockstep(f, integrals, keys)]
-    alone = [
-        _called(lambda: integral(lambda xs, k=key: f(xs, np.full(xs.shape, k))))
-        for integral, key in zip(integrals, keys)
-    ]
-    assert together == alone
+    alone = [lambda xs, k=key: f(xs, np.full(xs.shape, k)) for key in keys]
+    reference = [_called(lambda: _sequential(g, i)) for g, i in zip(alone, integrals)]
+    assert [_described(outcome) for outcome in lockstep(f, integrals, keys)] == reference
+    assert [_called(lambda: i(g)) for g, i in zip(alone, integrals)] == reference
 
 
 # (interval, (abs_tol, rel_tol, max_subdivisions, tail_cutoff), cut points)
@@ -129,11 +161,31 @@ DRIVER_CASES = [
         [(1.0, 7.0, 0.3, 2.0), (1.0, 5.0, 0.0, 2.0), (2.0, 3.0, 1.0, 1.0)],
         (1, 0.3, 0.31, "raise"),
     ),
+    # The longer integral, left to run alone, meets an integrand that
+    # returns a value too few, or raises.
+    (
+        [
+            ((-1.0, 1.0), (1e-10, 1e-10, 2000, 40.0), None),
+            ((-3.0, 3.0), (1e-12, 1e-12, 2000, 40.0), None),
+        ],
+        [(1.0, 2.0, 0.0, 1.0), (1.0, 13.0, 0.2, 2.0)],
+        (1, 2.7, 2.75, "short"),
+    ),
+    (
+        [
+            ((-1.0, 1.0), (1e-10, 1e-10, 2000, 40.0), None),
+            ((-3.0, 3.0), (1e-12, 1e-12, 2000, 40.0), None),
+        ],
+        [(1.0, 2.0, 0.0, 1.0), (1.0, 13.0, 0.2, 2.0)],
+        (1, 2.7, 2.75, "raise"),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "case", DRIVER_CASES, ids=["smooth", "failures", "poisoned_piece", "raising_key"]
+    "case",
+    DRIVER_CASES,
+    ids=["smooth", "failures", "poisoned_piece", "raising_key", "short_alone", "raising_alone"],
 )
 def test_lockstep_matches_each_integral_driven_alone(case):
     check_driver(case)
@@ -176,7 +228,7 @@ def _driver_cases(draw):
     if draw(st.booleans()):
         lo = draw(st.floats(-3.0, 3.0))
         width = 10.0 ** draw(st.floats(-3.0, 0.5))
-        kind = draw(st.sampled_from(["inf", "nan", "raise"]))
+        kind = draw(st.sampled_from(["inf", "nan", "raise", "short"]))
         poison = (draw(st.integers(0, count - 1)), lo, lo + width, kind)
     return specs, params, poison
 
@@ -288,11 +340,16 @@ _CHILD = """
 from numpy._core._multiarray_umath import __cpu_features__
 assert not __cpu_features__["X86_V4"], "numpy still dispatches its X86_V4 loops"
 import test_lockstep as t
+import test_one_call as c
 for case in t.DRIVER_CASES:
     t.check_driver(case)
 for case in t.STENCIL_CASES:
     t.check_stencil(*case)
-print(len(t.DRIVER_CASES) + len(t.STENCIL_CASES))
+for case in c.ARM_CASES:
+    c.check_arms(*case)
+for case in c.H_CASES:
+    c.check_h_terms(*case)
+print(len(t.DRIVER_CASES) + len(t.STENCIL_CASES) + len(c.ARM_CASES) + len(c.H_CASES))
 """
 
 
@@ -311,8 +368,11 @@ def _avx512_dispatched():
 )
 def test_fixed_cases_hold_with_the_avx512_kernels_off():
     # The variables pick numpy's and OpenBLAS's kernels at import, so the
-    # fixed cases run again in a child process.  They compare lockstep with
-    # one integral at a time inside that process, not with pinned bits.
+    # fixed cases run again in a child process: lockstep and the public
+    # integrators against the sequential reference, the batched stencil
+    # against one shift at a time, and the one-call arms and H terms against
+    # a call per arm or term.  All compare inside that process, not with
+    # pinned bits.
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, **_AVX2, PYTHONPATH=os.pathsep.join(path))
@@ -320,4 +380,7 @@ def test_fixed_cases_hold_with_the_avx512_kernels_off():
         [sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(len(DRIVER_CASES) + len(STENCIL_CASES))]
+    from test_one_call import ARM_CASES, H_CASES
+
+    cases = len(DRIVER_CASES) + len(STENCIL_CASES) + len(ARM_CASES) + len(H_CASES)
+    assert proc.stdout.split() == [str(cases)]

@@ -241,6 +241,33 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=0)
 
 
+_LIMIT_MESSAGE = "max_subdivisions must be a strictly positive integer"
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("abs_tol", math.inf, "abs_tol must be strictly positive and finite, got inf"),
+        ("rel_tol", math.inf, "rel_tol must be strictly positive and finite, got inf"),
+        ("tail_cutoff", math.inf, "tail_cutoff must be strictly positive and finite, got inf"),
+        ("abs_tol", math.nan, "abs_tol must be strictly positive and finite, got nan"),
+        ("max_subdivisions", 2.5, f"{_LIMIT_MESSAGE}, got 2.5"),
+        ("max_subdivisions", True, f"{_LIMIT_MESSAGE}, got True"),
+    ],
+)
+def test_config_rejects_values_it_cannot_honour(field, value, message):
+    # An infinite tolerance accepted any estimate (the Gaussian integral came
+    # out as 8.379 +- 15), an infinite cutoff failed inside the first panel,
+    # and a fractional limit was reported as "within 2.5 subdivisions".
+    with pytest.raises(InputError) as exc:
+        QuadratureConfig(**{field: value})
+    assert str(exc.value) == message
+
+
+def test_config_accepts_numpy_integer_limits():
+    assert QuadratureConfig(max_subdivisions=np.int64(7)).max_subdivisions == 7
+
+
 def test_deterministic_results():
     f = lambda s: np.cos(s) ** 2 * np.log(np.cos(s - 0.9) ** 2)
     pts = [0.9 - HALF_PI]
@@ -415,13 +442,19 @@ def test_non_finite_held_out_probe_raises(point, value):
 
 
 def test_wrong_shape_after_a_split_raises_input_error():
-    # The first panels are well formed; the first split's call is not.
+    # The first panels of both pieces, 30 abscissae, are well formed; every
+    # call past them is not, however the abscissae are grouped into calls.
+    seen = 0
+
     def f(x):
+        nonlocal seen
+        seen += x.size
         y = np.log(np.abs(x))
-        return y[:-1] if len(x) == 30 else y
+        return y[:-1] if seen > 30 else y
 
     with pytest.raises(InputError, match="integrand must map"):
         integrate_with_log_singularity(f, (-1.0, 1.0), [0.0])
+    assert seen > 30
 
 
 def test_unreachable_tolerance_raises_with_a_finite_estimate():
