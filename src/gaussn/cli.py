@@ -6,8 +6,9 @@ rendered with 17 significant digits, JSON keys are sorted, CSV uses LF
 line endings and a dot decimal separator.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (or a request
-too large to allocate), 3 numerical failure (fisher also exits 3 when its
-two forms differ by more than 1e-3 of the larger).  Only fisher and verify
+too large to allocate, or an --out or --grid-out path that cannot be
+written), 3 numerical failure (fisher also exits 3 when its two forms
+differ by more than 1e-3 of the larger).  Only fisher and verify
 run quadrature, and take --quad-tol to override its tolerances.  No module
 reads the environment: an envelope depends on the arguments alone.  Only
 gauss takes a --sigma other than 1; the other models have no length scale.
@@ -33,7 +34,7 @@ import sys
 
 from . import __version__
 from .criterion import ROUNDING_STEP, criterion_report, minimal_n, table_rows
-from .divergence import h_closed_form, h_functional
+from .divergence import _h_shifts, h_closed_form
 from .errors import InputError, NumericalError
 from .information import (
     default_probe_points,
@@ -98,8 +99,11 @@ def _envelope(command: str, model: str | None, parameters: dict, results: dict) 
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -270,12 +274,7 @@ def _verify_h(cfg):
         deltas = [-reach + k * step for k in range(8)] + [reach]  # numpy's linspace, bit for bit
         worst = 0.0
         nonpos = True
-        # One H at a time.  Batched through ``_h_unit`` they would run in
-        # lockstep, but the benchmark's peak RSS grows with the number of
-        # sweeps a run completes (ROADMAP item 1): that waits for the
-        # harness fix.
-        for d in deltas:
-            ev = h_functional(model, d, cfg)
+        for d, ev in zip(deltas, _h_shifts(model, deltas, cfg)):
             worst = max(worst, abs(ev.value - h_closed_form(model, d)))
             if ev.value > 0.0 or (d != 0.0 and ev.value == 0.0):
                 nonpos = False

@@ -65,12 +65,27 @@ def h_functional(model: ModelSpec, delta: float, cfg: QuadratureConfig | None = 
     measured at 100 shifts per decade.  Smaller shifts can give a small
     positive H: +2.01e-18 for chi2log at 1e-15, whose absolute tolerance
     stops at 1e-17, and +1.9e-17 for trig at 2e-9.
+
+    This is ``_h_shifts`` on one shift; ``verify --suite h`` calls that
+    batch entry on a grid of shifts.
+    """
+    (ev,) = _h_shifts(model, [delta], cfg)
+    return ev
+
+
+def _h_shifts(model: ModelSpec, deltas, cfg: QuadratureConfig | None) -> list[HEvaluation]:
+    """``h_functional`` at each of ``deltas``, in one ``_h_unit`` batch.
+
+    Every shift is checked before any is integrated.  Each H keeps the bits
+    it has alone, and an error is the one the first failing shift, in the
+    order given, raises.
     """
     family = model._family.carrier
-    family.check_shift(delta)
-    delta = float(delta)
-    (res,) = _h_unit(family.unit, [delta / family.scale], cfg)
-    return HEvaluation(delta, res.value, res.error_estimate)
+    for delta in deltas:
+        family.check_shift(delta)
+    deltas = [float(d) for d in deltas]
+    results = _h_unit(family.unit, [d / family.scale for d in deltas], cfg)
+    return [HEvaluation(d, res.value, res.error_estimate) for d, res in zip(deltas, results)]
 
 
 def _h_integrand(unit, us, deltas):

@@ -128,6 +128,18 @@ def test_verify_all(capsys):
         assert f"fisher.{name}.curvature" in out
 
 
+def test_verify_h_past_its_tolerance_is_a_numerical_failure(capsys):
+    # The first failing shift in order, chi2log at delta = -2, names the
+    # error.  The error estimate's last digits depend on numpy's kernels.
+    code, out, err = run_cli(capsys, "verify", "--suite", "h", "--quad-tol", "1e-15")
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "numerical failure: tolerance not reached within 2000 subdivisions"
+        " (best estimate -1.1353352832366093 +- "
+    )
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_table1(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "table1")
     assert code == 0
@@ -176,6 +188,27 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("N,ratio_raw,ratio_3dp\n")
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (("fisher", "--model", "trig", "--out"), "missing/x.json"),
+        (("fisher", "--model", "trig", "--out"), "."),
+        (
+            ("posterior", "--model", "binom", "--xi-true", "0.3", "--n", "5", "--seed", "7",
+             "--grid-out"),
+            "missing/g.csv",
+        ),
+    ],
+    ids=["out_in_a_missing_directory", "out_is_a_directory", "grid_out_in_a_missing_directory"],
+)
+def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, target):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_module_entrypoint_runs():

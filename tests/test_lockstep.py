@@ -4,8 +4,9 @@ are ``lockstep`` on one integral.  Each integral must come out as it does
 when its pieces run one after another (``_sequential``, kept here as the
 reference): the same value, error estimate and subdivision count, bit for
 bit, or the same error.  ``h_derivative_numeric`` integrates its stencil's
-shifts in one such batch, and must equal the stencil evaluated one shift at
-a time, including the error it raises first."""
+shifts in one such batch, and ``_h_shifts`` (which ``verify --suite h``
+calls) a list of shifts; each must equal its shifts evaluated one at a
+time, including the error it raises first."""
 
 import dataclasses
 import math
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussn import InputError, QuadratureError, h_derivative_numeric, make_model
-from gaussn.divergence import _h_unit
+from gaussn import InputError, QuadratureError, h_derivative_numeric, h_functional, make_model
+from gaussn import divergence
+from gaussn.divergence import HEvaluation, _h_shifts, _h_unit
 from gaussn.quadrature import Integral, IntegrationResult, QuadratureConfig, lockstep
 
 
@@ -35,6 +37,10 @@ def _described(outcome):
         return ("result", _bits(outcome))
     if isinstance(outcome, float):
         return ("value", outcome.hex())
+    if isinstance(outcome, HEvaluation):
+        return ("h", outcome.delta.hex(), outcome.value.hex(), outcome.error_estimate.hex())
+    if isinstance(outcome, list):
+        return ("list", [_described(item) for item in outcome])
     estimate = _bits(outcome) if getattr(outcome, "value", None) is not None else None
     return ("raises", type(outcome), str(outcome), estimate)
 
@@ -332,6 +338,69 @@ def test_the_first_failing_shift_names_the_error():
     assert message.startswith("expm1(709.795) overflowed")
 
 
+# -- the batch entry of H -------------------------------------------------------
+
+
+def _verify_grid(reach):
+    """The nine shifts ``verify --suite h`` takes over [-reach, reach]."""
+    step = 2.0 * reach / 8
+    return [-reach + k * step for k in range(8)] + [reach]
+
+
+def check_h_shifts(name, sigma, deltas, tol):
+    model = make_model(name, sigma)
+    cfg = None if tol is None else QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    batch = _called(lambda: _h_shifts(model, deltas, cfg))
+    assert batch == _called(lambda: [h_functional(model, d, cfg) for d in deltas])
+    return batch
+
+
+# (model, sigma, shifts, tolerance or None for the default)
+H_SHIFT_CASES = (
+    # verify's grids, and gauss at sigma = 2, which divides by the scale
+    [
+        (name, sigma, _verify_grid(reach), tol)
+        for name, sigma, reach in (
+            ("chi2log", 1.0, 2.0), ("gauss", 1.0, 2.0), ("trig", 1.0, 1.4), ("gauss", 2.0, 4.0)
+        )
+        for tol in (None, 1e-15)
+    ]
+    # Only the later shifts fail, each with its own message.
+    + [("chi2log", 1.0, [0.5, 800.0, 60.0], None), ("chi2log", 1.0, [0.5, 60.0, 800.0], None)]
+)
+
+
+@pytest.mark.parametrize("name,sigma,deltas,tol", H_SHIFT_CASES)
+def test_shift_batch_matches_one_shift_at_a_time(name, sigma, deltas, tol):
+    check_h_shifts(name, sigma, deltas, tol)
+
+
+def test_the_first_failing_shift_in_order_names_the_batch_error():
+    # At a tolerance of 1e-15, verify's chi2log grid fails at its first shift.
+    (_, error_type, message, estimate) = check_h_shifts("chi2log", 1.0, _verify_grid(2.0), 1e-15)
+    assert error_type is QuadratureError
+    assert message.startswith("tolerance not reached within 2000 subdivisions")
+    assert float.fromhex(estimate[0]) == -1.1353352832366093
+    # Shifts 60 and 800 fail with errors of their own (the tail at the
+    # truncation point, the overflow of e^delta); either order of the two
+    # raises the error of the one given first.
+    assert check_h_shifts("chi2log", 1.0, [0.5, 60.0, 800.0], None)[2].startswith(
+        "integrand magnitude"
+    )
+    assert check_h_shifts("chi2log", 1.0, [0.5, 800.0, 60.0], None)[2].startswith(
+        "expm1(800.0) overflowed"
+    )
+
+
+def test_a_bad_shift_fails_before_any_integration(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before every shift was checked")
+
+    monkeypatch.setattr(divergence, "_h_unit", never)
+    with pytest.raises(InputError, match="exceeds one period"):
+        _h_shifts(make_model("trig"), [0.3, 3.5], None)
+
+
 # -- the same checks under other kernels ----------------------------------------
 
 _AVX2 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell"}
@@ -345,11 +414,16 @@ for case in t.DRIVER_CASES:
     t.check_driver(case)
 for case in t.STENCIL_CASES:
     t.check_stencil(*case)
+for case in t.H_SHIFT_CASES:
+    t.check_h_shifts(*case)
 for case in c.ARM_CASES:
     c.check_arms(*case)
 for case in c.H_CASES:
     c.check_h_terms(*case)
-print(len(t.DRIVER_CASES) + len(t.STENCIL_CASES) + len(c.ARM_CASES) + len(c.H_CASES))
+print(
+    len(t.DRIVER_CASES) + len(t.STENCIL_CASES) + len(t.H_SHIFT_CASES)
+    + len(c.ARM_CASES) + len(c.H_CASES)
+)
 """
 
 
@@ -369,10 +443,10 @@ def _avx512_dispatched():
 def test_fixed_cases_hold_with_the_avx512_kernels_off():
     # The variables pick numpy's and OpenBLAS's kernels at import, so the
     # fixed cases run again in a child process: lockstep and the public
-    # integrators against the sequential reference, the batched stencil
-    # against one shift at a time, and the one-call arms and H terms against
-    # a call per arm or term.  All compare inside that process, not with
-    # pinned bits.
+    # integrators against the sequential reference, the batched stencil and
+    # verify's batched shift grids against one shift at a time, and the
+    # one-call arms and H terms against a call per arm or term.  All compare
+    # inside that process, not with pinned bits.
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, **_AVX2, PYTHONPATH=os.pathsep.join(path))
@@ -382,5 +456,7 @@ def test_fixed_cases_hold_with_the_avx512_kernels_off():
     assert proc.returncode == 0, proc.stderr
     from test_one_call import ARM_CASES, H_CASES
 
-    cases = len(DRIVER_CASES) + len(STENCIL_CASES) + len(ARM_CASES) + len(H_CASES)
+    cases = (
+        len(DRIVER_CASES) + len(STENCIL_CASES) + len(H_SHIFT_CASES) + len(ARM_CASES) + len(H_CASES)
+    )
     assert proc.stdout.split() == [str(cases)]
