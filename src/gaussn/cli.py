@@ -28,6 +28,7 @@ same command in a fresh process.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -151,16 +152,7 @@ def cmd_criterion(args) -> int:
         {
             "minimal_n": n_min,
             "report": {
-                "n": report.n,
-                "fisher": report.fisher,
-                "sigma": report.sigma,
-                "halfwidth": report.halfwidth,
-                "remainder_order": report.remainder_order,
-                "h_max": report.h_max,
-                "ratio": report.ratio,
-                "ratio_raw": report.ratio_raw,
-                "threshold": report.threshold,
-                "passes": report.passes,
+                k: v for k, v in dataclasses.asdict(report).items() if k not in ("model", "mode")
             },
         },
     )
@@ -226,9 +218,7 @@ def cmd_posterior(args) -> int:
         },
         {
             "xi_ml": xi_ml,
-            "sup_log_deviation": report.sup_log_deviation,
-            "kl_to_gaussian": report.kl_to_gaussian,
-            "interval": list(report.interval),
+            **dataclasses.asdict(report),
             "criterion": {
                 "n": companion.n,
                 "ratio": companion.ratio,

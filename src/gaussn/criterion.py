@@ -165,15 +165,8 @@ def minimal_n(
     160 ratio evaluations for chi2log at the default threshold, but 9,642 at
     threshold 0.01 and 10,601 at 0.01 in strict mode.  Past ``N_MAX`` it
     stops with ``InputError``, so ``criterion --model chi2log --threshold
-    0.0003 --mode strict`` exits 2.
-
-    A search on a declared remainder order would take O(log N) ratio
-    evaluations and lift the cap; it waits for the benchmark harness to stop
-    keeping every sweep's outcomes (about 19.6 KiB a sweep).  A prototype
-    doubled the criterion_scan workload's throughput (15.6 -> 30.8 op/s at
-    seed 41, 15.2 -> 30.8 at seed 42), and the twice as many sweeps kept
-    raised its peak RSS from 42.3 to 50.7 MB and from 41.2 to 49.8 MB, about
-    20 percent against the benchmark's 5 percent bound.
+    0.0003 --mode strict`` exits 2.  Inverting the criterion in closed form
+    would lift the cap; ROADMAP item 3 says why that waits.
     """
     _check_threshold(threshold, mode)
     for n in range(1, N_MAX + 1):

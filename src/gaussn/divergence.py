@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 
 from ._lazy import LazyNumpy
@@ -143,6 +144,16 @@ def h_closed_form(model: ModelSpec, delta: float) -> float:
     return family.h(delta)
 
 
+# Central differences as in Fornberg (1988): order -> (offsets in steps,
+# weights, divisor), so H^(order) ~ sum_k w_k H(delta + k step) / (divisor step^order).
+_STENCILS = {
+    1: ((1, -1), (1.0, -1.0), 2.0),
+    2: ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
+    3: ((2, 1, -1, -2), (1.0, -2.0, 2.0, -1.0), 2.0),
+    4: ((2, 1, 0, -1, -2), (1.0, -4.0, 6.0, -4.0, 1.0), 1.0),
+}
+
+
 def h_derivative_numeric(
     model: ModelSpec, order: int, delta: float, cfg: QuadratureConfig | None = None
 ) -> float:
@@ -155,13 +166,16 @@ def h_derivative_numeric(
     above the quadrature noise).  The inner quadrature runs at a tightened
     tolerance for the same reason.
 
-    The distinct shifts of both stencils, rounded to 15 decimals, are
-    integrated in one ``_h_unit`` batch, in the order the stencils first
-    use them.  Each H keeps the bits it has alone, and an error is the one
-    the first failing shift in that order raises.
+    Each order is one row of ``_STENCILS``; an order with no row is an
+    input error.  The distinct shifts of the coarse (step h) and fine
+    (step h / 2) arms, rounded to 15 decimals, are integrated in one
+    ``_h_unit`` batch, coarse first, in offset order.  Each H keeps the bits
+    it has alone, and an error is the one the first failing shift in that
+    order raises.
     """
-    if not 1 <= order <= 4:
+    if order not in _STENCILS:
         raise InputError("numeric derivatives support orders 1 through 4")
+    offsets, weights, divisor = _STENCILS[order]
     family = model._family.carrier
     unit, scale = family.unit, family.scale
     h = 1e-4 if order <= 2 else 1e-2
@@ -173,41 +187,16 @@ def h_derivative_numeric(
     inner = dataclasses.replace(
         base, abs_tol=min(base.abs_tol, 1e-13), rel_tol=min(base.rel_tol, 1e-13)
     )
-
-    def stencil(hv, hh):
-        if order == 1:
-            return (hv(delta + hh) - hv(delta - hh)) / (2.0 * hh)
-        if order == 2:
-            return (hv(delta + hh) - 2.0 * hv(delta) + hv(delta - hh)) / hh**2
-        if order == 3:
-            return (
-                hv(delta + 2 * hh) - 2.0 * hv(delta + hh) + 2.0 * hv(delta - hh) - hv(delta - 2 * hh)
-            ) / (2.0 * hh**3)
-        return (
-            hv(delta + 2 * hh)
-            - 4.0 * hv(delta + hh)
-            + 6.0 * hv(delta)
-            - 4.0 * hv(delta - hh)
-            + hv(delta - 2 * hh)
-        ) / hh**4
-
-    # A first pass records the distinct rounded shifts in the order the
-    # stencils ask for them; all of them are integrated in one batch.
-    shifts = {}
-
-    def record(d):
-        shifts.setdefault(round(d, 15))
-        return 0.0
-
-    stencil(record, h)
-    stencil(record, h / 2.0)
-    values = {d: res.value for d, res in zip(shifts, _h_unit(unit, list(shifts), inner))}
-
-    def hv(d):
-        return values[round(d, 15)]
-
-    coarse = stencil(hv, h)
-    fine = stencil(hv, h / 2.0)
+    steps = (h, h / 2.0)
+    arms = [[round(delta + k * step, 15) for k in offsets] for step in steps]
+    shifts = list(dict.fromkeys(arms[0] + arms[1]))
+    values = {d: res.value for d, res in zip(shifts, _h_unit(unit, shifts, inner))}
+    coarse, fine = [
+        # left to right: ``sum`` compensates from Python 3.12 on
+        functools.reduce(operator.add, [w * values[d] for w, d in zip(weights, arm)])
+        / (divisor * step**order)
+        for arm, step in zip(arms, steps)
+    ]
     return float((4.0 * fine - coarse) / 3.0) / scale**order
 
 

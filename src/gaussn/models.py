@@ -401,7 +401,7 @@ class _Gauss(_Family):
         return float(-1.0 / s2) if order == 2 else 0.0
 
     def h_max(self, order, w):
-        return 0.0 if order >= 3 else None  # H is exactly quadratic
+        return 0.0 if order >= 3 and order % 1 == 0 else None  # H is exactly quadratic
 
     def log_ratio(self, us, delta):
         return -(2.0 * us + delta) * delta / (2.0 * self.sigma**2)

@@ -434,8 +434,6 @@ def lockstep(f, integrals, keys) -> list:
             start = end
         live = requests
     for j, xs in live:  # at most one piece left: f gets each of its requests as it comes
-        if j >= cut[owner[j]]:  # a piece after its integral's failure
-            break
         job, key, sized = jobs[j], keys[owner[j]], {}
         try:
             while True:

@@ -85,6 +85,12 @@ def test_table_bad_n_list(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_table_rejects_a_nonpositive_n(capsys, n):
+    code, out, err = run_cli(capsys, "table", "--model", "chi2log", f"--n={n}")
+    assert (code, out, err) == (2, "", "error: N list must contain positive integers\n")
+
+
 def test_posterior_gauss(capsys, tmp_path):
     grid_file = tmp_path / "grid.csv"
     code, out, _ = run_cli(

@@ -138,8 +138,10 @@ def test_max_abs_derivative(chi2, gauss, trig, binom):
     assert max_abs_derivative(trig, 4, 3.0) == 16.0
     assert max_abs_derivative(binom, 4, 0.5) == 16.0  # carried by the trig family
     assert max_abs_derivative(gauss, 3, 1.0) == 0.0
+    assert max_abs_derivative(gauss, 5.0, 1.0) == 0.0
     # no closed maximum, no answer: the criterion never asks for these orders
-    for model, order in ((trig, 2), (binom, 3), (chi2, 4), (gauss, 2)):
+    # (gauss at 3.5 once read 0.0: H has no derivative of fractional order)
+    for model, order in ((trig, 2), (binom, 3), (chi2, 4), (gauss, 2), (gauss, 3.5)):
         with pytest.raises(UnsupportedModelError, match="no closed max"):
             max_abs_derivative(model, order, 0.3)
 
@@ -202,6 +204,27 @@ def test_unsupported_operations(binom, trig):
         h_functional(trig, 3.5)  # beyond one period
     with pytest.raises(InputError):
         h_derivative_numeric(trig, 5, 0.1)
+
+
+@pytest.mark.parametrize("order", [2.5, 1.5, math.nan, 0, 5])
+def test_numeric_derivative_orders_are_the_stencil_table(trig, order):
+    # 2.5 once ran the order-4 stencil and divided by scale^2.5 (16.0000005);
+    # 1.5 gave 28321.2.
+    with pytest.raises(InputError) as exc:
+        h_derivative_numeric(trig, order, 0.0)
+    assert str(exc.value) == "numeric derivatives support orders 1 through 4"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_numeric_derivative_takes_whole_valued_float_orders(trig, order):
+    assert h_derivative_numeric(trig, float(order), 0.3) == h_derivative_numeric(trig, order, 0.3)
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, math.nan])
+def test_max_abs_derivative_needs_a_positive_halfwidth(chi2, halfwidth):
+    with pytest.raises(InputError) as exc:
+        max_abs_derivative(chi2, 3, halfwidth)
+    assert str(exc.value) == "interval halfwidth must be positive"
 
 
 def test_binomial_borrows_trig_h(binom, trig):

@@ -193,6 +193,21 @@ def test_observations_validation(chi2, binom):
         ml_estimate(binom, Observations((0.5,)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: ml_estimate(m, Observations((0.1, math.nan))),
+        lambda m: ml_estimate(m, Observations((math.inf, 0.1))),
+        lambda m: density(m, math.nan, 0.0),
+    ],
+    ids=["ml_estimate_nan", "ml_estimate_inf", "density_nan"],
+)
+def test_non_finite_observations_are_rejected(chi2, call):
+    with pytest.raises(InputError) as exc:
+        call(chi2)
+    assert str(exc.value) == "observations must be finite"
+
+
 def test_observations_hold_one_read_only_array(trig):
     obs = sample(trig, 0.3, 50, 1)
     assert all(type(v) is float for v in obs.values)

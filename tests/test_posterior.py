@@ -8,6 +8,7 @@ import gaussn.models
 from gaussn import (
     InputError,
     Observations,
+    PosteriorGrid,
     compare_to_gaussian,
     gaussian_reference,
     h_closed_form,
@@ -189,6 +190,24 @@ def test_grid_size_validation(chi2):
         posterior_from_observations(chi2, Observations((0.0,)), grid_size=100)
     with pytest.raises(InputError):
         posterior_asymptotic(chi2, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "fisher,n,message",
+    [(0.0, 4, "fisher must be positive"), (1.0, 0, "sample size must be at least 1")],
+)
+def test_gaussian_reference_validation(fisher, n, message):
+    with pytest.raises(InputError) as exc:
+        gaussian_reference(0.0, fisher, n)
+    assert str(exc.value) == message
+
+
+def test_compare_needs_a_concave_reference_peak():
+    post = gaussian_reference(0.0, 1.0, 4)
+    flat = PosteriorGrid(post.xi_values, np.ones_like(post.xi_values))
+    with pytest.raises(InputError) as exc:
+        compare_to_gaussian(post, flat)
+    assert str(exc.value) == "reference grid has no concave log peak"
 
 
 def test_window_below_double_spacing_names_halfwidth_and_center():

@@ -232,6 +232,12 @@ def test_interval_validation():
         integrate_with_log_singularity(lambda x: x, (0.0, math.inf), [1.0])
 
 
+def test_a_nan_limit_is_an_input_error():
+    with pytest.raises(InputError) as exc:
+        integrate(lambda x: x, (math.nan, 1.0))
+    assert str(exc.value) == "integration limits must not be NaN"
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         QuadratureConfig(abs_tol=0.0)
