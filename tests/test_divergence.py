@@ -129,6 +129,8 @@ def test_numeric_derivative_example(trig, gauss, chi2):
     )
     assert h_derivative_numeric(gauss, 2, 1.1) == pytest.approx(-1.0, abs=1e-5)
     assert h_derivative_numeric(chi2, 2, 0.0) == pytest.approx(-1.0, abs=1e-4)
+    for order in (1, 2, 3, 4):  # a whole-valued float is that order
+        assert h_derivative_numeric(trig, float(order), 0.3) == h_derivative_numeric(trig, order, 0.3)
 
 
 def test_max_abs_derivative(chi2, gauss, trig, binom):
@@ -144,6 +146,10 @@ def test_max_abs_derivative(chi2, gauss, trig, binom):
     for model, order in ((trig, 2), (binom, 3), (chi2, 4), (gauss, 2), (gauss, 3.5)):
         with pytest.raises(UnsupportedModelError, match="no closed max"):
             max_abs_derivative(model, order, 0.3)
+    for halfwidth in (0.0, math.nan):
+        with pytest.raises(InputError) as exc:
+            max_abs_derivative(chi2, 3, halfwidth)
+        assert str(exc.value) == "interval halfwidth must be positive"
 
 
 CHI2LOG_SHIFT_LIMIT = math.log(sys.float_info.max)  # 709.78...: e^delta overflows beyond it
@@ -202,29 +208,11 @@ def test_unsupported_operations(binom, trig):
         h_closed_form(binom, 0.2)
     with pytest.raises(InputError):
         h_functional(trig, 3.5)  # beyond one period
-    with pytest.raises(InputError):
-        h_derivative_numeric(trig, 5, 0.1)
-
-
-@pytest.mark.parametrize("order", [2.5, 1.5, math.nan, 0, 5])
-def test_numeric_derivative_orders_are_the_stencil_table(trig, order):
-    # 2.5 once ran the order-4 stencil and divided by scale^2.5 (16.0000005);
-    # 1.5 gave 28321.2.
-    with pytest.raises(InputError) as exc:
-        h_derivative_numeric(trig, order, 0.0)
-    assert str(exc.value) == "numeric derivatives support orders 1 through 4"
-
-
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_numeric_derivative_takes_whole_valued_float_orders(trig, order):
-    assert h_derivative_numeric(trig, float(order), 0.3) == h_derivative_numeric(trig, order, 0.3)
-
-
-@pytest.mark.parametrize("halfwidth", [0.0, math.nan])
-def test_max_abs_derivative_needs_a_positive_halfwidth(chi2, halfwidth):
-    with pytest.raises(InputError) as exc:
-        max_abs_derivative(chi2, 3, halfwidth)
-    assert str(exc.value) == "interval halfwidth must be positive"
+    # 2.5 once ran the order-4 stencil and divided by scale^2.5 (16.0000005)
+    for order in (5, 0, 2.5, 1.5, math.nan):
+        with pytest.raises(InputError) as exc:
+            h_derivative_numeric(trig, order, 0.1)
+        assert str(exc.value) == "numeric derivatives support orders 1 through 4"
 
 
 def test_binomial_borrows_trig_h(binom, trig):

@@ -125,6 +125,10 @@ def test_compare_identical_and_mismatched(gauss):
     other = gaussian_reference(0.0, 1.0, 4, grid_size=1001)
     with pytest.raises(InputError):
         compare_to_gaussian(pg, other)
+    flat = PosteriorGrid(pg.xi_values, np.ones_like(pg.xi_values))
+    with pytest.raises(InputError) as exc:
+        compare_to_gaussian(pg, flat)
+    assert str(exc.value) == "reference grid has no concave log peak"
 
 
 def test_chi2log_residual_profile_at_160(chi2):
@@ -200,14 +204,6 @@ def test_gaussian_reference_validation(fisher, n, message):
     with pytest.raises(InputError) as exc:
         gaussian_reference(0.0, fisher, n)
     assert str(exc.value) == message
-
-
-def test_compare_needs_a_concave_reference_peak():
-    post = gaussian_reference(0.0, 1.0, 4)
-    flat = PosteriorGrid(post.xi_values, np.ones_like(post.xi_values))
-    with pytest.raises(InputError) as exc:
-        compare_to_gaussian(post, flat)
-    assert str(exc.value) == "reference grid has no concave log peak"
 
 
 def test_window_below_double_spacing_names_halfwidth_and_center():

@@ -230,9 +230,6 @@ def test_interval_validation():
     assert integrate(lambda x: x, (2.0, 2.0)).value == 0.0
     with pytest.raises(InputError):
         integrate_with_log_singularity(lambda x: x, (0.0, math.inf), [1.0])
-
-
-def test_a_nan_limit_is_an_input_error():
     with pytest.raises(InputError) as exc:
         integrate(lambda x: x, (math.nan, 1.0))
     assert str(exc.value) == "integration limits must not be NaN"
