@@ -28,7 +28,6 @@ same command in a fresh process.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -151,9 +150,7 @@ def cmd_criterion(args) -> int:
         {"threshold": args.threshold, "mode": args.mode, "sigma": model.sigma_param},
         {
             "minimal_n": n_min,
-            "report": {
-                k: v for k, v in dataclasses.asdict(report).items() if k not in ("model", "mode")
-            },
+            "report": {k: v for k, v in vars(report).items() if k not in ("model", "mode")},
         },
     )
     _emit(text, args.out)
@@ -218,7 +215,7 @@ def cmd_posterior(args) -> int:
         },
         {
             "xi_ml": xi_ml,
-            **dataclasses.asdict(report),
+            **vars(report),
             "criterion": {
                 "n": companion.n,
                 "ratio": companion.ratio,

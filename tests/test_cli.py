@@ -84,7 +84,7 @@ def test_table_bad_n_list(capsys):
     assert code == 2
     assert "error" in err
     for n in ("0", "-3"):
-        code, out, err = run_cli(capsys, "table", "--model", "chi2log", f"--n={n}")
+        code, out, err = run_cli(capsys, "table", "--model", "chi2log", "--n", n)
         assert (code, out, err) == (2, "", "error: N list must contain positive integers\n")
 
 
