@@ -38,7 +38,7 @@ from typing import Literal
 
 from .divergence import max_abs_derivative
 from .errors import InputError, UnsupportedModelError
-from .models import ModelId, ModelSpec
+from .models import ModelId, ModelSpec, _check_count
 
 __all__ = [
     "CriterionReport",
@@ -135,6 +135,7 @@ def criterion_report(
     mode: Mode = "paper_rounding",
 ) -> CriterionReport:
     _check_threshold(threshold, mode)
+    _check_count(n, "sample size")
     f, sigma, halfwidth, order, h_max, raw = _remainder_terms(model, n)
     eff = _effective(raw, mode)
     return CriterionReport(
@@ -177,7 +178,7 @@ def minimal_n(
 
 def table_rows(model: ModelSpec, n_values) -> list[tuple[int, float, float]]:
     """(n, raw ratio, ratio rounded to 3 decimals) for each requested n."""
-    ns = [int(n) for n in n_values]
+    ns = [_check_count(n, "sample size") for n in n_values]
     if not ns:
         raise InputError("n_values must not be empty")
     rows = []

@@ -101,30 +101,27 @@ def _h_integrand(unit, us, deltas):
 def _h_unit(unit, deltas, cfg: QuadratureConfig | None):
     """H_1 at each of ``deltas`` on the unit record ``unit``, in one lockstep run.
 
-    Each shift's integral is the one the record's ``integral_over_x``
-    makes.  Where the density has zeros (trig), the integrand diverges
-    logarithmically at the shifted zeros, and the integral is split there.
-    A line family is integrated about u = 0 at an absolute tolerance
-    tightened for small shifts.  The pieces of all the integrals go through
-    one ``lockstep`` run, which calls the integrand once per round; each
-    result keeps the bits it has alone.  Raises the error of the first
-    shift, in the order given, whose integral fails.
+    Each shift's integrand holds ln p(u + delta) and ln p(u), the arms -delta
+    and 0 about xi = 0 of the record's ``integral_over_x``, which splits it
+    where they diverge.  A line family (``tail`` set) is integrated at an
+    absolute tolerance tightened for small shifts.  The pieces of all the
+    integrals go through one ``lockstep`` run, which calls the integrand
+    once per round; each result keeps the bits it has alone.  Raises the
+    error of the first shift, in the order given, whose integral fails.
     """
 
     def integral(delta):
-        points = None if unit.zeros is None else unit.zeros(-delta)
-        shift_cfg = cfg
-        if points is None:
+        shift_cfg = cfg or QuadratureConfig()
+        if unit.tail is not None:
             # For small shifts H ~ -F delta^2 / 2 sits far below the default
             # absolute tolerance; tighten it so the nonpositivity theorem
             # survives the quadrature (the integrand scale shrinks with delta,
             # so the tighter target stays reachable).
-            shift_cfg = cfg or QuadratureConfig()
             predicted = 0.5 * unit.fisher * delta * delta
             shift_cfg = dataclasses.replace(
                 shift_cfg, abs_tol=min(shift_cfg.abs_tol, max(1e-3 * predicted, 1e-17))
             )
-        return unit.integral_over_x(shift_cfg, points)
+        return unit.integral_over_x(shift_cfg, xi=0.0, arms=(-delta, 0.0))
 
     shifts = [d for d in deltas if d != 0.0]  # the integrand is identically zero at 0
     integrand = functools.partial(_h_integrand, unit)

@@ -10,9 +10,9 @@ their agreement is a real cross-check:
   density has zeros (the trigonometric model), where a differenced log
   squared would pick up a spurious ln^2 boundary layer of order 1e-4.
 * curvature form: a plain central second difference of the log density,
-  integrated against the density.  The quadrature layer splits the
-  integral at the log singularities of the shifted stencil arms and at
-  the density's zeros.
+  integrated against the density.  The family record splits the integral
+  at the log singularities of the three log densities it holds: at the
+  density's zeros, and at their images under the stencil's shifts.
 
 Both run on the family's unit record, integrating over the observations
 through its ``over_x`` at its ``nudge`` of xi (xi = 0 on a line family), and
@@ -107,20 +107,17 @@ def _curvature_integrand(family, stencil, h: float, xs):
 
 
 def fisher_curvature_form(model: ModelSpec, xi: float, cfg: QuadratureConfig | None = None) -> float:
-    """Negative expected curvature of the log density, -E[d^2/dxi^2 ln p]."""
+    """Negative expected curvature of the log density, -E[d^2/dxi^2 ln p].
+
+    The record's ``over_x`` splits it where ln p at xi - h, xi or xi + h diverges.
+    """
     _check_xi(model, xi)
     unit = model._family.unit
     h = _CURV_STEP
     xi = unit.nudge(xi)
     stencil = np.array([[xi], [xi + h], [xi - h]])
     integrand = functools.partial(_curvature_integrand, unit, stencil, h)
-
-    points = None
-    if unit.zeros is not None:
-        # The stencil arms ln p(x | xi -+ h) diverge at h-shifted images of
-        # the density zeros; the zeros themselves are harmless but sharp.
-        points = [s for z in unit.zeros(xi) for s in (z - h, z, z + h)]
-    f1 = -unit.over_x(integrand, _floored(unit, cfg, _CURV_TOL_FLOOR), points).value
+    f1 = -unit.over_x(integrand, _floored(unit, cfg, _CURV_TOL_FLOOR), xi, (-h, 0.0, h)).value
     return f1 / model._family.scale**2
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -242,27 +243,27 @@ class _Family:
         """
         return xi if self.tail is None else 0.0
 
-    def over_x(self, f, cfg: QuadratureConfig | None = None, log_points=None):
+    def over_x(self, f, cfg: QuadratureConfig | None = None, xi=0.0, arms=()):
         """The integral of ``f`` (array of x to values) over the observations.
 
         A discrete family sums over its support (error estimate 0); any
-        other is integrated as ``integral_over_x`` says.
+        other is integrated as ``integral_over_x`` says for ``xi`` and ``arms``.
         """
         if self.support is not None:
             return IntegrationResult(float(np.sum(f(np.array(self.support)))), 0.0, 0)
-        return self.integral_over_x(cfg, log_points)(f)
+        return self.integral_over_x(cfg, xi, arms)(f)
 
-    def integral_over_x(self, cfg: QuadratureConfig | None = None, log_points=None) -> Integral:
+    def integral_over_x(self, cfg: QuadratureConfig | None = None, xi=0.0, arms=()) -> Integral:
         """The integral over the observations of a family with continuous x.
 
-        ``log_points``, the x where the integrand diverges logarithmically or
-        has a kink, split the integral.  A line family is truncated at |x| =
-        ``tail`` (the family's window replaces ``cfg.tail_cutoff``), which
-        holds its unit record's density at xi = 0.
+        The integrand holds ln p(x | xi + a) for each a in ``arms``, and is
+        split where they diverge: at z + a for each z in ``zeros(xi)``.  A
+        line family is truncated at |x| = ``tail`` (replacing
+        ``cfg.tail_cutoff``), which holds its unit record's density at xi = 0.
         """
         cfg = cfg or QuadratureConfig()
-        if log_points is not None:
-            return Integral(self.x_domain, cfg, log_points)
+        if self.zeros is not None and arms:
+            return Integral(self.x_domain, cfg, [z + a for z in self.zeros(xi) for a in arms])
         if self.tail is not None:
             cfg = dataclasses.replace(cfg, tail_cutoff=self.tail)
         return Integral(self.x_domain, cfg)
@@ -275,6 +276,8 @@ class _Family:
         return self.log_density(us, 0.0), self.log_ratio(us, deltas)
 
     def check_shift(self, delta: float):
+        if not math.isfinite(delta):
+            raise InputError(f"shift {delta!r} must be finite")
         if self.period is not None and abs(delta) > self.period:
             raise InputError(f"shift {delta!r} exceeds one period (|delta| <= pi)")
 
@@ -560,6 +563,20 @@ def _check_xi(model: ModelSpec, xi: float):
     lo, hi = model.xi_domain
     if not (lo <= xi <= hi):
         raise InputError(f"parameter {xi!r} outside domain [{lo!r}, {hi!r}]")
+
+
+def _check_count(n, name: str, least: int = 1, message: str | None = None) -> int:
+    """``n`` as an int, if it is an integer of at least ``least``; else InputError.
+
+    numpy's integers pass and bool does not, as for the quadrature's
+    ``max_subdivisions``.  ``message`` replaces "NAME must be at least LEAST".
+    """
+    # bool is an Integral; the exact-int test keeps the common case cheap
+    if not (type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool))):
+        raise InputError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise InputError(message or f"{name} must be at least {least}")
+    return int(n)
 
 
 def _check_x(model: ModelSpec, x):
@@ -954,8 +971,6 @@ def sample(model: ModelSpec, xi_true: float, n: int, seed: int) -> Observations:
     stream.
     """
     _check_xi(model, xi_true)
-    if n < 1:
-        raise InputError("sample size must be at least 1")
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed!r}")
+    _check_count(n, "sample size")
+    _check_count(seed, "seed", 0, f"seed must be nonnegative, got {seed!r}")
     return Observations(model._family.sample(np.random.default_rng(seed), xi_true, n))

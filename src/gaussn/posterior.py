@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ._lazy import LazyNumpy
 from .errors import InputError
-from .models import ModelSpec, Observations, ml_estimate
+from .models import ModelSpec, Observations, _check_count, ml_estimate
 
 np = LazyNumpy(globals())
 
@@ -93,11 +93,6 @@ def _normalize(grid: np.ndarray, log_dens: np.ndarray) -> np.ndarray:
     return dens / mass
 
 
-def _check_grid_size(size: int):
-    if size < _MIN_GRID_SIZE:
-        raise InputError(f"grid_size must be at least {_MIN_GRID_SIZE}")
-
-
 def _reference_sigma(model: ModelSpec, n: int) -> float:
     return 1.0 / math.sqrt(n * model.analytic_fisher)
 
@@ -121,7 +116,7 @@ def posterior_from_observations(
     pi-periodic, so the mirrored mode at -xi_ml (or pi - xi_ml, next to
     pi/2) is in frame whenever it lies within the halfwidth.
     """
-    _check_grid_size(grid_size)
+    _check_count(grid_size, "grid_size", _MIN_GRID_SIZE)
     center = ml_estimate(model, obs) if xi_ml is None else float(xi_ml)
     halfwidth = 8.0 * _reference_sigma(model, obs.n)
     domain = model.xi_domain
@@ -142,9 +137,10 @@ def posterior_asymptotic(
     recentered at zero, so ``xi_ml`` only selects which posterior is meant,
     not where the grid sits.
     """
-    _check_grid_size(grid_size)
-    if n < 1:
-        raise InputError("sample size must be at least 1")
+    _check_count(grid_size, "grid_size", _MIN_GRID_SIZE)
+    _check_count(n, "sample size")
+    if not math.isfinite(xi_ml):
+        raise InputError(f"xi_ml {xi_ml!r} must be finite")
     family = model._family
     center = 0.0 if family.period is not None else float(xi_ml)
     grid = _make_grid(center, 8.0 * _reference_sigma(model, n), model.xi_domain, grid_size)
@@ -170,11 +166,10 @@ def gaussian_reference(
     """
     if not fisher > 0:
         raise InputError("fisher must be positive")
-    if n < 1:
-        raise InputError("sample size must be at least 1")
+    _check_count(n, "sample size")
     sigma = 1.0 / math.sqrt(n * fisher)
     if grid is None:
-        _check_grid_size(grid_size)
+        _check_count(grid_size, "grid_size", _MIN_GRID_SIZE)
         grid = np.linspace(xi_ml - 8.0 * sigma, xi_ml + 8.0 * sigma, grid_size)
     else:
         grid = np.asarray(grid, dtype=float)

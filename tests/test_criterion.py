@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from gaussn import (
@@ -164,6 +165,11 @@ def test_validation(chi2):
         criterion_report(chi2, 10, threshold=1.5)
     with pytest.raises(InputError):
         table_rows(chi2, [])
+    # 2.5 once made a report with n = 2.5, and [2.7] answered for N = 2.
+    for call in (lambda: criterion_report(chi2, 2.5), lambda: table_rows(chi2, [2.7])):
+        with pytest.raises(InputError, match="sample size must be an integer"):
+            call()
+    assert table_rows(chi2, [np.int64(160)]) == table_rows(chi2, [160])
     for call in (
         lambda: criterion_report(chi2, 10, 0.1, "bogus"),
         lambda: minimal_n(chi2, 0.1, "bogus"),

@@ -203,11 +203,18 @@ def test_truncation_error_names_the_family_window(name, window):
     assert "tail_cutoff" not in messages[0]
 
 
-def test_unsupported_operations(binom, trig):
+def test_unsupported_operations(binom, trig, chi2, gauss):
     with pytest.raises(UnsupportedModelError):
         h_closed_form(binom, 0.2)
     with pytest.raises(InputError):
         h_functional(trig, 3.5)  # beyond one period
+    # A non-finite shift once reached the quadrature (QuadratureError) or
+    # came back from the closed form as nan or -inf.
+    for bad in (math.nan, math.inf, -math.inf):
+        for model in (chi2, gauss, trig):
+            for call in (h_functional, h_closed_form, lambda m, d: h_derivative_numeric(m, 1, d)):
+                with pytest.raises(InputError, match="must be finite"):
+                    call(model, bad)
     # 2.5 once ran the order-4 stencil and divided by scale^2.5 (16.0000005)
     for order in (5, 0, 2.5, 1.5, math.nan):
         with pytest.raises(InputError) as exc:
@@ -344,7 +351,7 @@ class _StepUnit(_Family):
     def log_ratio(self, us, delta):
         return np.where(us < 0.5, -np.inf, self.ratio)
 
-    def integral_over_x(self, cfg, points):
+    def integral_over_x(self, cfg, xi, arms):
         return Integral((0.0, 1.0), cfg)
 
 

@@ -350,6 +350,16 @@ def test_sample_validation(chi2):
         sample(chi2, 0.0, 0, 1)
     with pytest.raises(InputError, match="seed must be nonnegative"):
         sample(chi2, 0.0, 5, -1)
+    # Non-integer counts once raised numpy's TypeError; bool is no count.
+    for n, seed, message in (
+        (2.5, 7, "sample size must be an integer, got 2.5"),
+        (True, 7, "sample size must be an integer, got True"),
+        (5, 1.5, "seed must be an integer, got 1.5"),
+    ):
+        with pytest.raises(InputError) as exc:
+            sample(chi2, 0.3, n, seed)
+        assert str(exc.value) == message
+    assert sample(chi2, 0.3, np.int64(5), np.int32(7)) == sample(chi2, 0.3, 5, 7)
 
 
 def test_make_model_validation():

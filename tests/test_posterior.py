@@ -194,11 +194,27 @@ def test_grid_size_validation(chi2):
         posterior_from_observations(chi2, Observations((0.0,)), grid_size=100)
     with pytest.raises(InputError):
         posterior_asymptotic(chi2, 0.0, 0)
+    # Non-integer counts were accepted, or raised numpy's TypeError.
+    for call in (
+        lambda: posterior_from_observations(chi2, Observations((0.0,)), grid_size=2500.5),
+        lambda: posterior_asymptotic(chi2, 0.0, 2.5),
+        lambda: posterior_asymptotic(chi2, 0.0, 8, grid_size=2500.5),
+    ):
+        with pytest.raises(InputError, match="must be an integer"):
+            call()
+    # trig once returned a grid, the line families blamed the domain.
+    for name in ("chi2log", "gauss", "trig", "binom"):
+        with pytest.raises(InputError, match="xi_ml nan must be finite"):
+            posterior_asymptotic(make_model(name), math.nan, 5)
 
 
 @pytest.mark.parametrize(
     "fisher,n,message",
-    [(0.0, 4, "fisher must be positive"), (1.0, 0, "sample size must be at least 1")],
+    [
+        (0.0, 4, "fisher must be positive"),
+        (1.0, 0, "sample size must be at least 1"),
+        (1.0, 2.5, "sample size must be an integer, got 2.5"),
+    ],
 )
 def test_gaussian_reference_validation(fisher, n, message):
     with pytest.raises(InputError) as exc:

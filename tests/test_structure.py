@@ -53,6 +53,23 @@ def test_only_models_imports_the_integrators():
     assert SOURCES and not found, found
 
 
+def test_only_models_reads_the_density_zeros():
+    # Where an integral over the observations splits is the record's to say:
+    # a caller names the log densities its integrand holds, not the points.
+    found = []
+    for path in SOURCES:
+        if path.name == "models.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "zeros"
+                and not (isinstance(node.value, ast.Name) and node.value.id == "np")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert SOURCES and not found, found
+
+
 QUADRATURE_H = {"h_functional", "h_derivative_numeric"}
 
 
